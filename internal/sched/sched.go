@@ -863,10 +863,14 @@ func (s *Scheduler) dispatch(c *coreState) {
 // (*coreState payload); evBalance is the periodic load-balancing tick;
 // evStall ends a machine-wide stall. All three ride the queue's
 // allocation-free payload path instead of a fresh closure per arming.
+// evCompleted is not a queued event but coreEvent's Env.AfterTurn
+// continuation: it refills a core (*coreState) once the proc whose
+// burst completed there has taken its turn.
 const (
 	evCore = iota
 	evBalance
 	evStall
+	evCompleted
 )
 
 // HandleEvent implements simtime.Handler. Each case clears its pending
@@ -881,6 +885,10 @@ func (s *Scheduler) HandleEvent(kind int, arg any) {
 		s.balanceTick()
 	case evStall:
 		s.endStall()
+	case evCompleted:
+		c := arg.(*coreState)
+		s.dispatch(c)
+		s.onIdle(c)
 	default:
 		panic(fmt.Sprintf("sched: unknown event kind %d", kind))
 	}
@@ -958,12 +966,12 @@ func (s *Scheduler) coreEvent(c *coreState) {
 		t.inflight = false
 		s.emit(trace.Complete, c.core.ID, -1, t)
 		s.observeInvariant()
-		// May synchronously resume the proc, which may issue its next
-		// burst and re-enter the scheduler; dispatch below tolerates
-		// that.
+		// FinishCompute is a tail call: the proc runs once this handler
+		// returns and may issue its next burst, re-entering the
+		// scheduler. The evCompleted continuation refills the core after
+		// that turn; dispatch tolerates the re-entry.
 		t.p.FinishCompute()
-		s.dispatch(c)
-		s.onIdle(c)
+		s.env.AfterTurn(s, evCompleted, c)
 		return
 	}
 	// Timeslice expiry: rotate if anyone is waiting.

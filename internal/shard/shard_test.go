@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -211,11 +212,15 @@ func TestSuperviseRespawnsTornWorkerAndConverges(t *testing.T) {
 
 	// First attempt of every shard tears its journal mid-stream; the
 	// respawn resumes the valid prefix cleanly.
+	var mu sync.Mutex // Supervise runs the shards concurrently
 	attempts := make(map[int]int)
 	runner := func(spec Spec, resume bool) error {
+		mu.Lock()
 		attempts[spec.Range.Index]++
+		n := attempts[spec.Range.Index]
+		mu.Unlock()
 		var wrap journal.WrapSink
-		if attempts[spec.Range.Index] == 1 {
+		if n == 1 {
 			wrap = faultio.Plan{Tear: true, TearAt: 700}.Wrap()
 		}
 		return Worker(exp, spec.Range, spec.Journal, resume, wrap)

@@ -8,7 +8,7 @@ import (
 // TestWakeSteadyStateAllocs pins the engine's hottest path: parking a
 // proc and waking it costs no allocations once the proc exists. Wake
 // schedules a typed event the queue recycles; the park/resume handoff
-// reuses the proc's channels.
+// reuses the proc's wake channel.
 func TestWakeSteadyStateAllocs(t *testing.T) {
 	e := NewEnv(1)
 	p := e.Go("parker", func(p *Proc) {

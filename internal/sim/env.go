@@ -42,7 +42,10 @@ func Single(id int) CPUSet { return CPUSet(1) << uint(id) }
 // single-threaded (they are only invoked from the kernel context or the
 // active proc's context, never concurrently) and must invoke
 // p.FinishCompute from a scheduled event, never synchronously from
-// Compute.
+// Compute. FinishCompute is a tail call: it records the handoff to p,
+// which runs only once the event's handler returns. Work that must
+// follow p's turn belongs in an Env.AfterTurn continuation, not after
+// the FinishCompute call.
 type Executor interface {
 	// Compute retires cycles of work for p, honouring p's affinity, and
 	// calls p.FinishCompute at the simulated time the work completes.
@@ -73,15 +76,28 @@ type Env struct {
 	// unspecified (retirement swap-removes); consumers that need
 	// determinism sort by PID. A slice beats a map here because spawn
 	// and exit are hot paths and membership is tracked by Proc.liveIdx.
-	live     []*Proc
+	live []*Proc
+	// running is the proc whose body holds control; nil while kernel
+	// code runs, on whichever goroutine that is. next is the handoff the
+	// current event recorded (resume), and cont the continuation to run
+	// once that proc yields again (AfterTurn).
 	running  *Proc
+	next     *Proc
+	cont     turnCont
 	panicVal any
 	closed   bool
 
-	limits  Limits
-	cancel  <-chan struct{}
-	events  int
-	tripped error
+	limits   Limits
+	cancel   <-chan struct{}
+	deadline simtime.Time // where the running loop stops
+	events   int
+	tripped  error
+
+	// driverq hands control back to the goroutine blocked in drive when
+	// the loop ends on another goroutine. switches counts every handoff
+	// of control between goroutines (pass).
+	driverq  chan struct{}
+	switches int
 
 	// procSlab and randSlab batch the per-spawn allocations: spawning N
 	// procs costs N/32 backing allocations for the Proc structs and
@@ -91,7 +107,7 @@ type Env struct {
 	randSlab []xrand.Rand
 
 	// workerq feeds spawned procs to pooled worker goroutines, and
-	// idleWorkers counts workers parked on workerq. A worker that
+	// idleWorkers counts workers parked on or bound for workerq. A worker that
 	// finishes one proc's body loops back for the next spawn, so
 	// churn-heavy workloads pay goroutine creation (and the go
 	// statement's closure) only at peak concurrency, not per proc. Only
@@ -105,7 +121,8 @@ type Env struct {
 func NewEnv(seed uint64) *Env {
 	return &Env{
 		rand:    xrand.New(seed),
-		workerq: make(chan *Proc),
+		workerq: make(chan *Proc, 1),
+		driverq: make(chan struct{}),
 	}
 }
 
@@ -208,13 +225,12 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	e.randSlab = e.randSlab[1:]
 	e.rand.SplitInto(rng)
 	*p = Proc{
-		env:      e,
-		id:       e.nextPID,
-		name:     name,
-		fn:       fn,
-		rand:     rng,
-		toProc:   make(chan struct{}),
-		toKernel: make(chan struct{}),
+		env:  e,
+		id:   e.nextPID,
+		name: name,
+		fn:   fn,
+		rand: rng,
+		wake: make(chan struct{}, 1),
 	}
 	p.liveIdx = len(e.live)
 	e.live = append(e.live, p)
@@ -222,7 +238,7 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// start launches p's goroutine and gives it its first slice of control.
+// start launches p's goroutine and hands it its first turn.
 func (e *Env) start(p *Proc) {
 	if p.done || p.killed {
 		// Killed before it ever ran: just retire it.
@@ -231,9 +247,11 @@ func (e *Env) start(p *Proc) {
 		return
 	}
 	// Hand the proc to a pooled worker goroutine, growing the pool only
-	// when every worker is busy. The send is unbuffered: an idle worker
-	// is either parked on workerq or on its way back to it after
-	// reporting its previous proc done, so the handoff cannot deadlock.
+	// when every worker is busy. An idle worker is parked on workerq, on
+	// its way back to it, or is the caller itself: a proc that exits
+	// runs the loop before its worker loops back. workerq and the wake
+	// channel therefore hold one value each, so that worker can send the
+	// new proc to itself and then pick it up.
 	if e.idleWorkers > 0 {
 		e.idleWorkers--
 	} else {
@@ -247,31 +265,133 @@ func (e *Env) start(p *Proc) {
 
 // procWorker runs proc bodies from the spawn queue until the Env closes.
 // Proc panics (including the kill signal) are recovered inside
-// Proc.main, so one worker survives any number of procs.
+// Proc.exit, so one worker survives any number of procs.
 func (e *Env) procWorker() {
 	for p := range e.workerq {
 		p.main()
 	}
 }
 
-// resume transfers control to p until its next yield. Kernel context only.
+// resume hands control to p once the current event's handler returns:
+// a tail handoff, recorded here and carried out by the loop (hold).
+// Kernel context only, and at most once per event.
 func (e *Env) resume(p *Proc) {
 	if p.done || !p.launched || !p.waiting {
 		return
 	}
-	prev := e.running
-	e.running = p
-	p.waiting = false
-	p.toProc <- struct{}{}
-	<-p.toKernel
-	e.running = prev
-	if p.done {
-		// The worker goroutine that ran p is looping back to workerq.
-		e.idleWorkers++
-		e.finish(p)
+	if e.next != nil {
+		panic(fmt.Sprintf("sim: %v resumed in the event that already resumes %v", p, e.next))
 	}
-	if e.panicVal != nil {
-		v := e.panicVal
+	p.waiting = false
+	e.next = p
+}
+
+// turnCont is a continuation recorded by AfterTurn.
+type turnCont struct {
+	h    simtime.Handler
+	kind int
+	arg  any
+}
+
+// AfterTurn runs h.HandleEvent(kind, arg) in kernel context once the
+// proc the current event resumed has yielded again, or at once if the
+// event resumed no proc. FinishCompute being a tail call, this is how
+// an event handler sequences work after the resumed proc's turn. At
+// most one continuation per event.
+func (e *Env) AfterTurn(h simtime.Handler, kind int, arg any) {
+	if e.next == nil {
+		h.HandleEvent(kind, arg)
+		return
+	}
+	if e.cont.h != nil {
+		panic("sim: second AfterTurn in one event")
+	}
+	e.cont = turnCont{h, kind, arg}
+}
+
+// hold runs the dispatch loop on the calling goroutine, which has just
+// taken control: p is the proc that yielded or exited there, nil for
+// the driver. It returns the proc the next handoff goes to (p itself
+// when an event resumed it), or nil once the loop has ended. A panic in
+// kernel code is recovered here and left in panicVal for the driver.
+func (e *Env) hold(p *Proc) (next *Proc) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.abort(r)
+			next = nil
+		}
+	}()
+	if p != nil {
+		e.running = nil
+		if p.done {
+			e.idleWorkers++ // p's worker loops back to workerq after this
+			e.finish(p)
+			if e.panicVal != nil {
+				e.abort(e.panicVal)
+				return nil
+			}
+		}
+		if c := e.cont; c.h != nil {
+			e.cont = turnCont{}
+			c.h.HandleEvent(c.kind, c.arg)
+			if q := e.take(); q != nil {
+				return q
+			}
+		}
+	}
+	for e.more() {
+		e.queue.Step()
+		e.events++
+		if q := e.take(); q != nil {
+			return q
+		}
+	}
+	return nil
+}
+
+// take claims the handoff the last handler recorded, if any.
+func (e *Env) take() *Proc {
+	q := e.next
+	if q != nil {
+		e.next = nil
+		e.running = q
+	}
+	return q
+}
+
+// pass gives up control: to q, or back to the driver when q is nil
+// because the loop has ended. Once the send completes another goroutine
+// holds the Env, so the caller must not touch it again until woken.
+func (e *Env) pass(q *Proc) {
+	e.switches++
+	if q == nil {
+		e.driverq <- struct{}{}
+	} else {
+		q.wake <- struct{}{}
+	}
+}
+
+// abort ends the loop on a panic: v waits in panicVal for the driver,
+// and any pending handoff or continuation is dropped. A dropped proc is
+// parked again, so Close can still reap it.
+func (e *Env) abort(v any) {
+	e.panicVal = v
+	if q := e.next; q != nil {
+		q.waiting = true
+		e.next = nil
+	}
+	e.cont = turnCont{}
+}
+
+// loop runs the dispatch loop from the driver's goroutine and returns
+// once it has ended, on whichever goroutine that happened. A panic
+// recovered along the way is re-raised here with its original value.
+func (e *Env) loop() {
+	if q := e.hold(nil); q != nil {
+		e.pass(q)
+		<-e.driverq
+	}
+	if v := e.panicVal; v != nil {
 		e.panicVal = nil
 		panic(v)
 	}
@@ -387,10 +507,12 @@ func (e *Env) Close() {
 	if e.closed {
 		return
 	}
-	// Repeated rounds: unwinding procs can spawn wakeups for others.
+	// Teardown runs the same loop with its guards off. Repeated rounds:
+	// unwinding procs can spawn wakeups for others.
+	e.limits, e.cancel, e.deadline = Limits{}, nil, simtime.Never
 	for i := 0; i < 1000 && len(e.live) > 0; i++ {
 		e.KillAll()
-		e.queue.Run()
+		e.loop()
 	}
 	e.closed = true
 	close(e.workerq) // releases the idle worker goroutines

@@ -17,11 +17,10 @@ type Proc struct {
 	fn   func(*Proc)
 	rand *xrand.Rand
 
-	toProc   chan struct{}
-	toKernel chan struct{}
-	liveIdx  int  // position in the env's live table; -1 once retired
-	launched bool // goroutine exists and first handoff is pending or done
-	waiting  bool // parked in yield, waiting for resume
+	wake     chan struct{} // control handed to this proc's goroutine
+	liveIdx  int           // position in the env's live table; -1 once retired
+	launched bool          // goroutine exists and first handoff is pending or done
+	waiting  bool          // parked in yield, waiting for resume
 	killed   bool
 	done     bool
 
@@ -35,31 +34,35 @@ type Proc struct {
 }
 
 // main is one proc's turn on a pooled worker goroutine: wait for the
-// first handoff, run the proc function, and report completion to the
-// kernel even when the function panics (the recover below is what lets
-// the worker survive and serve the next proc).
+// first handoff, run the proc function, then retire the proc (exit).
 func (p *Proc) main() {
-	<-p.toProc
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(killSignal); !ok {
-				// A genuine bug in workload code: surface it in the
-				// kernel so tests fail loudly instead of deadlocking.
-				p.env.panicVal = fmt.Sprintf("sim: proc %q panicked: %v", p.name, r)
-			}
-		}
-		p.done = true
-		p.toKernel <- struct{}{}
-	}()
+	<-p.wake
+	defer p.exit()
 	if !p.killed {
 		p.fn(p)
 	}
 }
 
+// exit runs when p's body returns or panics. A genuine panic is kept
+// for the driver to re-raise, so tests fail loudly instead of
+// deadlocking; the recover is also what lets the worker survive and
+// serve the next proc. The goroutine then carries the loop on until
+// control passes elsewhere.
+func (p *Proc) exit() {
+	if r := recover(); r != nil {
+		if _, ok := r.(killSignal); !ok {
+			p.env.panicVal = fmt.Sprintf("sim: proc %q panicked: %v", p.name, r)
+		}
+	}
+	p.done = true
+	p.env.pass(p.env.hold(p))
+}
+
 // FinishCompute is the Executor's completion callback: it resumes p at
 // the simulated time an issued Compute finishes. Kernel context only,
 // and never synchronously from within Executor.Compute — always from a
-// scheduled event.
+// scheduled event. It is a tail call: p runs once the event's handler
+// returns (see Env.AfterTurn for work that must follow p's turn).
 func (p *Proc) FinishCompute() { p.env.resume(p) }
 
 // ID returns the proc's unique id (1-based, in spawn order).
@@ -97,13 +100,18 @@ func (p *Proc) Killed() bool { return p.killed }
 // OnExit registers fn to run (in kernel context) when the proc exits.
 func (p *Proc) OnExit(fn func()) { p.exitHooks = append(p.exitHooks, fn) }
 
-// yield parks the proc until the kernel resumes it. Must be called from
-// the proc's own goroutine. Panics with killSignal if the proc was killed
-// while parked.
+// yield parks the proc and runs the event loop on its goroutine until
+// an event resumes a proc. If that is p itself, yield just returns;
+// otherwise control passes on and p waits for its own wake. Must be
+// called from the proc's own goroutine. Panics with killSignal if the
+// proc was killed while parked.
 func (p *Proc) yield() {
 	p.waiting = true
-	p.toKernel <- struct{}{}
-	<-p.toProc
+	e := p.env
+	if q := e.hold(p); q != p {
+		e.pass(q)
+		<-p.wake
+	}
 	if p.killed {
 		panic(killSignal{})
 	}

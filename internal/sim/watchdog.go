@@ -110,34 +110,20 @@ func (e *Env) RunGuarded(deadline simtime.Time) (int, error) {
 }
 
 // drive is the guarded dispatch loop behind Run, RunUntil and
-// RunGuarded.
+// RunGuarded. The loop runs on whichever goroutine holds control (see
+// hold); the calling goroutine gets it back once the loop has ended.
 func (e *Env) drive(deadline simtime.Time) (int, error) {
 	if e.tripped != nil {
 		// A poisoned environment refuses to continue, so callers that
 		// loop around their drive calls terminate too.
 		return 0, e.tripped
 	}
-	n := 0
-	for {
-		if e.cancelled() {
-			e.tripped = &CancelledError{At: e.queue.Now(), Events: e.events}
-			return n, e.tripped
-		}
-		next := e.queue.PeekTime()
-		if next == simtime.Never || next > deadline {
-			break
-		}
-		if l := e.limits.MaxVirtualTime; l > 0 && next > l {
-			e.tripped = &WatchdogError{Limit: LimitVirtualTime, At: e.queue.Now(), Events: e.events}
-			return n, e.tripped
-		}
-		if l := e.limits.MaxEvents; l > 0 && e.events >= l {
-			e.tripped = &WatchdogError{Limit: LimitEvents, At: e.queue.Now(), Events: e.events}
-			return n, e.tripped
-		}
-		e.queue.Step()
-		n++
-		e.events++
+	e.deadline = deadline
+	start := e.events
+	e.loop()
+	n := e.events - start
+	if e.tripped != nil {
+		return n, e.tripped
 	}
 	if e.limits.DetectDeadlock && deadline != simtime.Never &&
 		e.queue.Len() == 0 && len(e.live) > 0 && e.queue.Now() < deadline {
@@ -146,6 +132,29 @@ func (e *Env) drive(deadline simtime.Time) (int, error) {
 	}
 	e.queue.AdvanceTo(deadline)
 	return n, nil
+}
+
+// more reports whether the loop may dispatch the next event. It checks,
+// in order, the cancel signal, the drive deadline and the armed limits,
+// recording a tripped guard in e.tripped.
+func (e *Env) more() bool {
+	if e.cancelled() {
+		e.tripped = &CancelledError{At: e.queue.Now(), Events: e.events}
+		return false
+	}
+	next := e.queue.PeekTime()
+	if next == simtime.Never || next > e.deadline {
+		return false
+	}
+	if l := e.limits.MaxVirtualTime; l > 0 && next > l {
+		e.tripped = &WatchdogError{Limit: LimitVirtualTime, At: e.queue.Now(), Events: e.events}
+		return false
+	}
+	if l := e.limits.MaxEvents; l > 0 && e.events >= l {
+		e.tripped = &WatchdogError{Limit: LimitEvents, At: e.queue.Now(), Events: e.events}
+		return false
+	}
+	return true
 }
 
 // liveNames returns "name#pid" for every live proc, in spawn order,
