@@ -10,7 +10,7 @@
 #   make test-crash   # crash-consistency matrix, every byte-prefix (DESIGN.md §9)
 #   make test-shard   # shard-supervision chaos matrix, SIGKILLed workers (DESIGN.md §11)
 #   make test-cache   # result-cache corruption matrix, every byte and bit (DESIGN.md §12)
-#   make serve-smoke  # asmp-serve end-to-end: coalesce, drain, resume (DESIGN.md §10)
+#   make serve-smoke  # asmp-serve end-to-end: coalesce, drain, cache-warm restart (DESIGN.md §10)
 #   make bench        # one pass over every figure/ablation benchmark
 #   make bench-hot    # the engine hot-path benchmarks (see BENCH_4.json)
 #   make bench-cache  # cold- vs warm-cache execution benchmarks (see BENCH_9.json)
@@ -82,8 +82,9 @@ test-cache:
 # The asmp-serve end-to-end smoke: builds the real binaries, starts the
 # daemon, proves duplicate concurrent sweeps coalesce (via /stats),
 # checks server-rendered figure bytes against asmp-run's, SIGTERMs the
-# daemon mid-sweep and verifies the drain is clean and the journal
-# resumes on restart (DESIGN.md §10).
+# daemon mid-sweep and verifies the drain is clean and that the result
+# cache warms a restarted daemon on the same -cache-dir (cache hits in
+# /stats, identical bytes on a repeat) (DESIGN.md §10).
 serve-smoke:
 	$(GO) test -v -run TestServeSmoke ./cmd/asmp-serve
 

@@ -8,15 +8,16 @@
 //
 // Usage:
 //
-//	asmp-serve -addr 127.0.0.1:8377 -journal-dir /var/lib/asmp
+//	asmp-serve -addr 127.0.0.1:8377 -cache-dir /var/cache/asmp
 //	curl -s localhost:8377/v1/figure/2a?quick=1
 //	curl -s -X POST localhost:8377/v1/sweep \
 //	    -d '{"workload":"specjbb","configs":["4f-0s"],"runs":3}'
 //
-// With -journal-dir, every sweep and figure is journaled as it
-// completes; a restarted daemon serves previously computed results
-// byte-identically and resumes interrupted sweeps instead of
-// recomputing them.
+// With -cache-dir (or $ASMP_CACHE_DIR), every completed cell is
+// published to the disk result cache, so the result cache warms a
+// restarted daemon: it answers previously computed and interrupted
+// sweeps and figures byte-identically, simulating only the cells no
+// earlier process finished.
 package main
 
 import (
@@ -61,7 +62,6 @@ func runWith(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int 
 		deadline     = fs.Duration("deadline", 30*time.Second, "default per-request wall deadline (requests may ask for less, or more up to -max-deadline)")
 		maxDeadline  = fs.Duration("max-deadline", 5*time.Minute, "hard cap on any request's deadline")
 		drainTimeout = fs.Duration("drain-timeout", 10*time.Second, "how long a drain lets in-flight work finish before cancelling it")
-		journalDir   = fs.String("journal-dir", "", "durable store: journal every sweep/figure here and serve or resume them across restarts")
 		cacheDir     = fs.String("cache-dir", resultcache.DirFromEnv(), "disk result-cache directory shared with CLIs and other daemons (default $ASMP_CACHE_DIR; empty = no cache; responses are identical either way)")
 		noCache      = fs.Bool("no-cache", false, "ignore -cache-dir and $ASMP_CACHE_DIR: simulate every cell")
 		cacheMax     = fs.Int("cache-max-mb", resultcache.MaxMBFromEnv(), "size cap for -cache-dir in MiB, enforced LRU (default $ASMP_CACHE_MAX_MB; 0 = uncapped)")
@@ -93,12 +93,6 @@ func runWith(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int 
 		fmt.Fprintf(stderr, "asmp-serve: -drain-timeout must be positive, got %v\n", *drainTimeout)
 		return 2
 	}
-	if *journalDir != "" {
-		if err := os.MkdirAll(*journalDir, 0o755); err != nil {
-			fmt.Fprintln(stderr, "asmp-serve:", err)
-			return 1
-		}
-	}
 	core.SetDefaultWorkers(*workers)
 	// The disk result cache survives daemon restarts (unlike the
 	// in-memory memo), so a restarted daemon warm-hits cells its
@@ -119,7 +113,6 @@ func runWith(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int 
 		DefaultDeadline: *deadline,
 		MaxDeadline:     *maxDeadline,
 		DrainTimeout:    *drainTimeout,
-		JournalDir:      *journalDir,
 		Logf: func(format string, a ...any) {
 			fmt.Fprintf(stderr, "asmp-serve: "+format+"\n", a...)
 		},
@@ -149,7 +142,7 @@ func runWith(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int 
 	// every waiter gets its response. Then shut the HTTP layer down,
 	// which waits for those responses to finish writing.
 	if forced := srv.Drain(); forced > 0 {
-		fmt.Fprintf(stderr, "asmp-serve: drain cancelled %d in-flight execution(s); journals resume them on restart\n", forced)
+		fmt.Fprintf(stderr, "asmp-serve: drain cancelled %d in-flight execution(s); with -cache-dir, the result cache warms a restart\n", forced)
 	}
 	if err := hs.Shutdown(context.Background()); err != nil {
 		fmt.Fprintln(stderr, "asmp-serve:", err)

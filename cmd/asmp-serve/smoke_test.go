@@ -4,7 +4,8 @@ package main
 // builds the real binaries, starts the daemon, proves duplicate
 // concurrent sweeps coalesce, checks a server-rendered figure is
 // byte-identical to asmp-run's, SIGTERMs the daemon mid-sweep and
-// verifies the drain is clean and the journal resumes on restart.
+// verifies the drain is clean and that a daemon restarted on the same
+// result cache answers from it.
 
 import (
 	"bufio"
@@ -52,9 +53,11 @@ func httpPost(url, body string) httpResult {
 
 // smokeStats decodes the fields of /stats the smoke test asserts on.
 type smokeStats struct {
-	Coalesced      uint64 `json:"coalesced"`
-	ActiveFlights  int    `json:"activeFlights"`
-	JournalResumes uint64 `json:"journalResumes"`
+	Coalesced     uint64 `json:"coalesced"`
+	ActiveFlights int    `json:"activeFlights"`
+	Cache         struct {
+		Hits uint64 `json:"hits"`
+	} `json:"cache"`
 	// Shard decodes the supervision counters as pointers so the test can
 	// distinguish "present and zero" from "missing".
 	Shard struct {
@@ -169,14 +172,14 @@ func TestServeSmoke(t *testing.T) {
 			t.Fatalf("go build %s: %v\n%s", dir, err, out)
 		}
 	}
-	jdir := t.TempDir()
+	cdir := t.TempDir()
 
 	// -workers 1 makes cell execution sequential (the full-grid sweeps
 	// below take ~600ms, far above every poll and grace interval here)
 	// and lets one blocker sweep hold the pool for the coalescing step.
 	d := startDaemon(t, serveBin,
 		"-addr", "127.0.0.1:0", "-workers", "1", "-queue", "8",
-		"-drain-timeout", "100ms", "-journal-dir", jdir)
+		"-drain-timeout", "100ms", "-cache-dir", cdir)
 
 	// --- Coalescing: duplicates of a pending sweep share one flight. ---
 	blocker := make(chan httpResult, 1)
@@ -240,35 +243,24 @@ func TestServeSmoke(t *testing.T) {
 	}
 
 	// --- SIGTERM mid-sweep: clean drain, typed 503 to the client. ---
-	preexisting := map[string]bool{}
-	if files, err := filepath.Glob(filepath.Join(jdir, "sweep-*.jsonl")); err == nil {
-		for _, f := range files {
-			preexisting[f] = true
+	cells := func() []string {
+		files, err := filepath.Glob(filepath.Join(cdir, "*.cell"))
+		if err != nil {
+			t.Fatal(err)
 		}
+		return files
 	}
+	preexisting := len(cells())
 	long := `{"workload":"specjbb","seed":9,"runs":3}`
 	inflight := make(chan httpResult, 1)
 	go func() { inflight <- httpPost(d.base+"/v1/sweep", long) }()
-	// Wait for the new sweep's journal to hold its header and at least
-	// one cell (~300 bytes), then interrupt: the sweep has hundreds of
-	// milliseconds of cells left, far beyond the 100ms drain grace.
+	// Wait for the new sweep to publish its first cell to the cache,
+	// then interrupt: the sweep has hundreds of milliseconds of cells
+	// left, far beyond the 100ms drain grace.
 	deadline := time.Now().Add(30 * time.Second)
-	for {
-		var started bool
-		files, _ := filepath.Glob(filepath.Join(jdir, "sweep-*.jsonl"))
-		for _, f := range files {
-			if preexisting[f] {
-				continue
-			}
-			if fi, err := os.Stat(f); err == nil && fi.Size() > 300 {
-				started = true
-			}
-		}
-		if started {
-			break
-		}
+	for len(cells()) == preexisting {
 		if time.Now().After(deadline) {
-			t.Fatal("in-flight sweep never journaled a cell")
+			t.Fatal("in-flight sweep never published a cell to the cache")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -281,21 +273,21 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatalf("in-flight sweep during drain = %d: %s, want 503 draining", r.code, r.body)
 	}
 
-	// --- Restart on the same store: the journal resumes the sweep. ---
+	// --- Restart on the same cache: the drained sweep's finished
+	// cells are served from disk instead of re-simulated. ---
 	d2 := startDaemon(t, serveBin,
-		"-addr", "127.0.0.1:0", "-workers", "1", "-journal-dir", jdir)
+		"-addr", "127.0.0.1:0", "-workers", "1", "-cache-dir", cdir)
 	r1 := httpPost(d2.base+"/v1/sweep", long)
 	if r1.err != nil || r1.code != 200 {
 		t.Fatalf("resumed sweep = %d (err %v): %s", r1.code, r1.err, r1.body)
 	}
-	if st := readStats(t, d2.base); st.JournalResumes < 1 {
-		t.Fatalf("stats.journalResumes = %d, want >= 1", st.JournalResumes)
+	if st := readStats(t, d2.base); st.Cache.Hits < 1 {
+		t.Fatalf("stats.cache.hits = %d, want >= 1", st.Cache.Hits)
 	}
-	// A second identical request replays the now-complete journal and
-	// answers the same bytes.
+	// A second identical request answers the same bytes.
 	r2 := httpPost(d2.base+"/v1/sweep", long)
 	if r2.err != nil || r2.code != 200 || !bytes.Equal(r1.body, r2.body) {
-		t.Fatalf("journal replay differs (code %d, err %v)", r2.code, r2.err)
+		t.Fatalf("repeated sweep differs (code %d, err %v)", r2.code, r2.err)
 	}
 	d2.sigtermAndWait(t)
 }

@@ -1,21 +1,17 @@
 package server
 
-// Executors: the functions workers run for each request kind, plus the
-// durable journal store they flush through. Every executor honours its
-// flight's cancel signal via core's cooperative cancellation and
-// returns a result whose bytes depend only on the request identity.
+// Executors: the functions workers run for each request kind. Every
+// executor honours its flight's cancel signal via core's cooperative
+// cancellation and returns a result whose bytes depend only on the
+// request identity. Reuse across requests and restarts lives one layer
+// down, in core's cell memo and the attached disk result cache.
 
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
-	"sync"
 
 	"asmp/internal/core"
-	"asmp/internal/digest"
 	"asmp/internal/figures"
 	"asmp/internal/journal"
 	"asmp/internal/report"
@@ -27,69 +23,6 @@ const (
 	ctJSON = "application/json"
 	ctText = "text/plain; charset=utf-8"
 )
-
-// journalLock serializes journal access for one canonical key. A
-// flight whose last waiter left is cancelled and unlinked immediately,
-// but its execution can still be appending to (and closing) its
-// journal when an identical new request admits a fresh flight for the
-// same key; without the lock the fresh execution could Resume or
-// Create the same file while the dying writer is mid-append —
-// corrupting it, or seeding the resume from a half-written tail. Each
-// execution holds its key's lock for its whole journal lifetime
-// (resume/create through close), so a fresh flight waits for the dying
-// writer instead of racing it. Entries are refcounted away, so the
-// table only holds keys with an execution in (or waiting for) the
-// critical section.
-type journalLock struct {
-	mu   sync.Mutex
-	refs int
-}
-
-// lockJournal acquires key's journal lock and returns the unlock.
-func (s *Server) lockJournal(key string) (unlock func()) {
-	s.mu.Lock()
-	l := s.journalLocks[key]
-	if l == nil {
-		l = &journalLock{}
-		s.journalLocks[key] = l
-	}
-	l.refs++
-	s.mu.Unlock()
-	l.mu.Lock()
-	return func() {
-		l.mu.Unlock()
-		s.mu.Lock()
-		l.refs--
-		if l.refs == 0 {
-			delete(s.journalLocks, key)
-		}
-		s.mu.Unlock()
-	}
-}
-
-// journalPath maps a canonical request key to its durable journal file.
-// The digest keeps filenames short and filesystem-safe while still
-// unique per identity; kind prefixes keep the directory browsable.
-func (s *Server) journalPath(kind, key string) string {
-	return filepath.Join(s.opts.JournalDir, kind+"-"+digest.OfBytes([]byte(key)).String()+".jsonl")
-}
-
-// setAside moves a journal that cannot be trusted out of the way
-// (journal.SetAside: path.damaged, counter-suffixed so earlier
-// evidence is never clobbered) so the execution can start a fresh one.
-// Failures to rename are logged and otherwise ignored: the store is an
-// optimisation, never a correctness dependency.
-func (s *Server) setAside(path string, why error) {
-	s.mu.Lock()
-	s.counters.journalDamaged++
-	s.mu.Unlock()
-	s.opts.Logf("journal %s set aside: %v", path, why)
-	if aside, err := journal.SetAside(path); err != nil {
-		s.opts.Logf("journal %s: %v", path, err)
-	} else {
-		s.opts.Logf("journal %s set aside to %s", path, aside)
-	}
-}
 
 // ---- run ----
 
@@ -175,22 +108,15 @@ type sweepResponse struct {
 	// Failed and Cancelled count runs across the whole sweep.
 	Failed    int `json:"failed,omitempty"`
 	Cancelled int `json:"cancelled,omitempty"`
-	// JournalIncomplete is set when the durable store failed mid-sweep;
-	// the response is still complete, but the stored journal must not
-	// be trusted (the server sets it aside on the next request).
-	JournalIncomplete bool `json:"journalIncomplete,omitempty"`
 }
 
-// sweepExec executes a sweep, resuming from the durable store when an
-// identical earlier request left a journal behind.
-func (s *Server) sweepExec(exp core.Experiment, key string) func(<-chan struct{}) *result {
+// sweepExec executes a sweep. Cells an earlier request (or an earlier
+// process, through the disk cache) completed are served by core without
+// re-simulating.
+func (s *Server) sweepExec(exp core.Experiment) func(<-chan struct{}) *result {
 	return func(cancel <-chan struct{}) *result {
 		exp.Cancel = cancel
-		if s.opts.JournalDir != "" {
-			defer s.lockJournal(key)()
-		}
-		out := s.runSweep(exp, key)
-		resp := buildSweepResponse(exp, out)
+		resp := buildSweepResponse(exp, exp.Run())
 		body, merr := json.Marshal(resp)
 		if merr != nil {
 			return &result{status: 500, errCode: "internal", errMsg: merr.Error()}
@@ -202,73 +128,19 @@ func (s *Server) sweepExec(exp core.Experiment, key string) func(<-chan struct{}
 	}
 }
 
-// runSweep runs (or resumes) the experiment, wiring the journal store
-// when configured. The store never gates correctness: any problem with
-// it falls back to a fresh, unjournaled (or re-journaled) run.
-func (s *Server) runSweep(exp core.Experiment, key string) *core.Outcome {
-	if s.opts.JournalDir == "" {
-		return exp.Run()
-	}
-	path := s.journalPath("sweep", key)
-	if _, err := os.Stat(path); err == nil {
-		log, w, err := journal.Resume(path)
-		if err == nil {
-			exp.Journal = w
-			out, rerr := exp.Resume(log)
-			if rerr == nil {
-				s.mu.Lock()
-				s.counters.journalResumes++
-				s.mu.Unlock()
-				closeJournal(s, w, out)
-				return out
-			}
-			// The key pins the identity, so a refusal means the file is
-			// not what its name claims; set it aside and start fresh.
-			if cerr := w.Close(); cerr != nil {
-				s.opts.Logf("journal %s: %v", path, cerr)
-			}
-			s.setAside(path, rerr)
-		} else {
-			s.setAside(path, err)
-		}
-	}
-	w, err := journal.Create(path)
-	if err != nil {
-		s.opts.Logf("journal %s: %v (sweep runs unjournaled)", path, err)
-		return exp.Run()
-	}
-	exp.Journal = w
-	out := exp.Run()
-	closeJournal(s, w, out)
-	return out
-}
-
-// closeJournal flushes a sweep's journal, folding a close failure into
-// the outcome's JournalErr so the response can flag the store as
-// untrustworthy.
-func closeJournal(s *Server, w *journal.Writer, out *core.Outcome) {
-	if err := w.Close(); err != nil && out.JournalErr == nil {
-		out.JournalErr = err
-	}
-	if out.JournalErr != nil {
-		s.opts.Logf("journal %s incomplete: %v", w.Path(), out.JournalErr)
-	}
-}
-
 // buildSweepResponse renders an outcome — complete or partial — into
 // the response shape, including the same text table asmp-sweep prints.
 func buildSweepResponse(exp core.Experiment, out *core.Outcome) sweepResponse {
 	resp := sweepResponse{
-		Name:              out.Name,
-		Workload:          exp.Workload.Name(),
-		Policy:            exp.Sched.Policy.String(),
-		Runs:              exp.Runs,
-		Seed:              exp.BaseSeed,
-		Metric:            out.Metric,
-		HigherIsBetter:    out.HigherIsBetter,
-		MaxAsymmetricCoV:  journal.Float(out.MaxCoV(true)),
-		SymmetricMaxCoV:   journal.Float(out.SymmetricMaxCoV()),
-		JournalIncomplete: out.JournalErr != nil,
+		Name:             out.Name,
+		Workload:         exp.Workload.Name(),
+		Policy:           exp.Sched.Policy.String(),
+		Runs:             exp.Runs,
+		Seed:             exp.BaseSeed,
+		Metric:           out.Metric,
+		HigherIsBetter:   out.HigherIsBetter,
+		MaxAsymmetricCoV: journal.Float(out.MaxCoV(true)),
+		SymmetricMaxCoV:  journal.Float(out.SymmetricMaxCoV()),
 	}
 	if !exp.Fault.Empty() {
 		resp.Fault = exp.Fault.String()
@@ -315,16 +187,10 @@ func buildSweepResponse(exp core.Experiment, out *core.Outcome) sweepResponse {
 // ---- figure ----
 
 // figureExec renders a figure (both text and CSV; waiters pick their
-// format), serving the durable store when an identical earlier request
-// already rendered it.
-func (s *Server) figureExec(f figures.Figure, opt figures.Options, key string) func(<-chan struct{}) *result {
+// format). Cells an earlier render completed are served by core without
+// re-simulating.
+func (s *Server) figureExec(f figures.Figure, opt figures.Options) func(<-chan struct{}) *result {
 	return func(cancel <-chan struct{}) (res *result) {
-		if s.opts.JournalDir != "" {
-			defer s.lockJournal(key)()
-			if fig := s.readFigureJournal(key, f.ID); fig != nil {
-				return &result{status: 200, figure: fig}
-			}
-		}
 		// core.Execute surfaces cooperative cancellation as a
 		// *sim.CancelledError panic; pmap carries it here.
 		defer func() {
@@ -342,10 +208,11 @@ func (s *Server) figureExec(f figures.Figure, opt figures.Options, key string) f
 		// rows in their tables rather than a panic (core.Experiment
 		// degrades, it doesn't abort), so a Run that returned after its
 		// cancel fired may be a partial rendering. It must never be
-		// answered 200 or journaled — an identical later request has to
-		// re-render. The check is conservative: a cancel that raced a
-		// fully completed Run also discards it, which only costs a
-		// recomputation nobody was waiting for.
+		// answered 200: an identical later request re-renders, reusing
+		// only completed cells (core never memoizes or caches a
+		// cancelled one). The check is conservative: a cancel that
+		// raced a fully completed Run also discards it, which only
+		// costs a re-render nobody was waiting for.
 		select {
 		case <-cancel:
 			return &result{cancelled: true}
@@ -360,58 +227,7 @@ func (s *Server) figureExec(f figures.Figure, opt figures.Options, key string) f
 			csv.WriteString(t.CSV())
 		}
 		fig := &journal.Figure{ID: f.ID, Txt: txt.String(), Csv: csv.String()}
-		if s.opts.JournalDir != "" {
-			s.writeFigureJournal(key, opt, fig)
-		}
 		return &result{status: 200, figure: fig}
-	}
-}
-
-// readFigureJournal serves a rendered figure from the durable store, or
-// nil if absent/untrustworthy (damaged files are set aside).
-func (s *Server) readFigureJournal(key, id string) *journal.Figure {
-	path := s.journalPath("figure", key)
-	if _, err := os.Stat(path); err != nil {
-		return nil
-	}
-	log, err := journal.Read(path)
-	if err != nil {
-		s.setAside(path, err)
-		return nil
-	}
-	if log.Header == nil || log.Header.Tool != "asmp-serve" {
-		s.setAside(path, fmt.Errorf("missing or foreign header"))
-		return nil
-	}
-	fig := log.Figure(id)
-	if fig == nil {
-		// Crash between header and figure record: render afresh over it.
-		return nil
-	}
-	s.mu.Lock()
-	s.counters.journalResumes++
-	s.mu.Unlock()
-	return fig
-}
-
-// writeFigureJournal persists a rendered figure. Best-effort: failures
-// are logged, the response is unaffected.
-func (s *Server) writeFigureJournal(key string, opt figures.Options, fig *journal.Figure) {
-	path := s.journalPath("figure", key)
-	w, err := journal.Create(path)
-	if err != nil {
-		s.opts.Logf("journal %s: %v", path, err)
-		return
-	}
-	werr := w.WriteHeader(journal.Header{Tool: "asmp-serve", BaseSeed: opt.Seed, Quick: opt.Quick})
-	if werr == nil {
-		werr = w.WriteFigure(*fig)
-	}
-	if cerr := w.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		s.opts.Logf("journal %s incomplete: %v", path, werr)
 	}
 }
 

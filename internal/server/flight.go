@@ -14,8 +14,8 @@ package server
 // Waiters are refcounted. A waiter that hits its deadline (or whose
 // client disconnects) leaves the flight; the last waiter to leave
 // cooperatively cancels the execution — nobody wants the result, and
-// the journal already holds every completed cell, so an identical
-// later request resumes instead of restarting. Drain's hard stop
+// core's memo already holds every completed cell, so an identical
+// later request re-simulates only what was left. Drain's hard stop
 // cancels every remaining flight the same way.
 
 import (
@@ -127,7 +127,7 @@ func (s *Server) admit(key string, exec func(<-chan struct{}) *result) (*flight,
 
 // leave drops one waiter from a flight. The last waiter to leave
 // cancels the execution and unlinks the flight so a later identical
-// request starts fresh (resuming from the journal) instead of joining
+// request starts fresh (reusing the memoized cells) instead of joining
 // a dying flight.
 func (s *Server) leave(f *flight, r cancelReason) (last bool) {
 	s.mu.Lock()

@@ -268,37 +268,3 @@ func TestAbandonedClientCancelsExecution(t *testing.T) {
 		t.Fatalf("activeFlights = %d, want 0", st.ActiveFlights)
 	}
 }
-
-func TestLockJournalSerializesPerKey(t *testing.T) {
-	s := New(Options{Workers: 1})
-	defer s.Drain()
-
-	unlock := s.lockJournal("k")
-	acquired := make(chan struct{})
-	released := make(chan struct{})
-	go func() {
-		u := s.lockJournal("k")
-		close(acquired)
-		u()
-		close(released)
-	}()
-	select {
-	case <-acquired:
-		t.Fatal("second lockJournal acquired while the first was held")
-	case <-time.After(20 * time.Millisecond):
-	}
-
-	// A different key is independent of the held one.
-	s.lockJournal("other")()
-
-	unlock()
-	waitClosed(t, acquired, "second lockJournal after unlock")
-	waitClosed(t, released, "second unlock")
-
-	s.mu.Lock()
-	n := len(s.journalLocks)
-	s.mu.Unlock()
-	if n != 0 {
-		t.Fatalf("journalLocks holds %d entries after all unlocks, want 0 (refcount leak)", n)
-	}
-}

@@ -76,19 +76,21 @@ func writeError(w http.ResponseWriter, status int, code, msg string, partial jso
 }
 
 // resolveDeadline applies the default and the cap to a request's
-// deadlineMs field (0 = default).
+// deadlineMs field (0 = default). ms is compared with the cap before it
+// is converted: time.Duration(ms) * time.Millisecond overflows for ms
+// above math.MaxInt64/1e6 (~292 years) and would wrap negative.
 func (s *Server) resolveDeadline(ms int64) (time.Duration, error) {
 	if ms < 0 {
 		return 0, fmt.Errorf("deadlineMs must be non-negative, got %d", ms)
 	}
 	d := s.opts.DefaultDeadline
 	if ms > 0 {
-		d = time.Duration(ms) * time.Millisecond
-	}
-	if d > s.opts.MaxDeadline {
 		d = s.opts.MaxDeadline
+		if ms <= d.Milliseconds() {
+			d = time.Duration(ms) * time.Millisecond
+		}
 	}
-	return d, nil
+	return min(d, s.opts.MaxDeadline), nil
 }
 
 // dispatch admits the request (or answers shed/draining) and waits out
@@ -395,13 +397,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		Limits:   limits,
 		Retries:  req.Retries,
 	}
-	s.dispatch(w, r, key, s.sweepExec(exp, key), deadline, "")
+	s.dispatch(w, r, key, s.sweepExec(exp), deadline, "")
 }
 
 // sweepKey canonicalises a sweep's identity: every field that reaches
 // the simulation, normalised (defaults applied, configs re-rendered),
 // and nothing that doesn't (deadline). Identical keys are the licence
-// to coalesce and to share a journal file.
+// to coalesce.
 func sweepKey(req sweepRequest, cfgs []cpu.Config, pol sched.Policy, plan *fault.Plan, limits sim.Limits) string {
 	var b strings.Builder
 	b.WriteString("sweep|w=")
@@ -490,7 +492,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	// pick.
 	key := fmt.Sprintf("figure|id=%s|quick=%t|seed=%d", id, quick, seed)
 	opt := figures.Options{Quick: quick, Seed: seed}
-	s.dispatch(w, r, key, s.figureExec(f, opt, key), deadline, format)
+	s.dispatch(w, r, key, s.figureExec(f, opt), deadline, format)
 }
 
 // ---- shared parsing ----

@@ -19,11 +19,14 @@
 //   - Graceful drain: Drain marks the server not-ready, refuses new
 //     work, and gives in-flight executions Options.DrainTimeout to
 //     finish; whatever is still running is then cooperatively cancelled
-//     and answered with a typed 503. Journals are flushed per request,
-//     so a restarted server resumes a drained sweep byte-identically.
+//     and answered with a typed 503. Cells completed before the drain
+//     are already published to the disk result cache when one is
+//     attached, so the result cache warms a restarted server: it
+//     re-simulates only the cells the drain cut off, and its answer is
+//     byte-identical to an uninterrupted run.
 //
 // Determinism contract: every response body is a pure function of the
-// request identity. Coalescing, the journal store, memoization and the
+// request identity. Coalescing, memoization, the result cache and the
 // worker pool only change wall-clock time and which process computed
 // the bytes — never the bytes. A figure rendered by the server is
 // byte-identical to the same figure rendered by asmp-run.
@@ -62,11 +65,6 @@ type Options struct {
 	// DrainTimeout is how long Drain lets in-flight work finish before
 	// cooperatively cancelling it (default 10s).
 	DrainTimeout time.Duration
-	// JournalDir, when non-empty, is the durable store: every sweep and
-	// figure keeps an append-only journal there, keyed by its canonical
-	// request identity, so a restarted server serves previously computed
-	// results byte-identically and resumes interrupted sweeps.
-	JournalDir string
 	// Logf, when non-nil, receives operational log lines (stderr in
 	// asmp-serve). Never used for response bodies.
 	Logf func(format string, args ...any)
@@ -105,11 +103,6 @@ type Server struct {
 	draining bool
 	counters counters
 
-	// journalLocks serialize journal access per canonical key (exec.go:
-	// lockJournal); the map is guarded by mu, each entry's own mutex is
-	// held across an execution's journal lifetime.
-	journalLocks map[string]*journalLock
-
 	jobs    chan *flight
 	workers sync.WaitGroup
 
@@ -120,16 +113,17 @@ type Server struct {
 
 // counters are the monotonic stats, guarded by Server.mu.
 type counters struct {
-	requests       uint64
-	coalesced      uint64
-	shed           uint64
-	expired        uint64
-	forced         uint64
-	journalResumes uint64
-	journalDamaged uint64
-	latencyCount   uint64
-	latencyTotalMs int64
-	latencyMaxMs   int64
+	requests     uint64
+	coalesced    uint64
+	shed         uint64
+	expired      uint64
+	forced       uint64
+	latencyCount uint64
+	// latencyTotal and latencyMax are kept at full resolution and
+	// truncated to milliseconds only in StatsSnapshot, so sub-millisecond
+	// requests still add up.
+	latencyTotal time.Duration
+	latencyMax   time.Duration
 }
 
 // New starts a server: the worker pool is running and Handler is ready
@@ -139,7 +133,6 @@ func New(opts Options) *Server {
 	s := &Server{
 		opts:         o,
 		flights:      map[string]*flight{},
-		journalLocks: map[string]*journalLock{},
 		jobs:         make(chan *flight, o.QueueDepth),
 		drainStarted: make(chan struct{}),
 	}
@@ -158,8 +151,9 @@ const drainPoll = 5 * time.Millisecond
 // flips), in-flight work gets Options.DrainTimeout to finish, and
 // whatever is still running is then cooperatively cancelled — those
 // requests receive typed 503 envelopes (with partial results where the
-// execution produced any). Journals are already flushed per request, so
-// nothing is lost either way. Drain returns once the pool is idle,
+// execution produced any). Completed cells are already memoized (and
+// published to the disk cache when one is attached), so nothing is lost
+// either way. Drain returns once the pool is idle,
 // reporting how many executions had to be cancelled. Calling Drain
 // twice is an error in the caller; the second call panics on the closed
 // channel by design.
@@ -222,11 +216,6 @@ type Stats struct {
 	QueueCapacity int  `json:"queueCapacity"`
 	Workers       int  `json:"workers"`
 	Draining      bool `json:"draining"`
-	// JournalResumes counts sweeps/figures served or completed from the
-	// durable store; JournalDamaged counts journals set aside as
-	// .damaged.
-	JournalResumes uint64 `json:"journalResumes"`
-	JournalDamaged uint64 `json:"journalDamaged"`
 	// Memo and Flight expose core's process-wide cell cache and
 	// cell-level coalescing counters.
 	Memo struct {
@@ -236,7 +225,8 @@ type Stats struct {
 	} `json:"memo"`
 	// Cache exposes the disk result cache's counters (core's attached
 	// resultcache; all zero when the daemon runs with -no-cache or no
-	// cache dir). Refused counts corrupt entries set aside as .damaged
+	// cache dir). A restarted daemon on the same cache dir counts its
+	// predecessor's cells as Hits. Refused counts corrupt entries set aside as .damaged
 	// — always served by re-simulation, never by the damaged bytes.
 	Cache struct {
 		Hits        uint64 `json:"hits"`
@@ -272,22 +262,20 @@ type Stats struct {
 func (s *Server) StatsSnapshot() Stats {
 	s.mu.Lock()
 	st := Stats{
-		Requests:       s.counters.requests,
-		Coalesced:      s.counters.coalesced,
-		Shed:           s.counters.shed,
-		Expired:        s.counters.expired,
-		Forced:         s.counters.forced,
-		ActiveFlights:  len(s.flights),
-		QueueDepth:     len(s.jobs),
-		QueueCapacity:  s.opts.QueueDepth,
-		Workers:        s.opts.Workers,
-		Draining:       s.draining,
-		JournalResumes: s.counters.journalResumes,
-		JournalDamaged: s.counters.journalDamaged,
+		Requests:      s.counters.requests,
+		Coalesced:     s.counters.coalesced,
+		Shed:          s.counters.shed,
+		Expired:       s.counters.expired,
+		Forced:        s.counters.forced,
+		ActiveFlights: len(s.flights),
+		QueueDepth:    len(s.jobs),
+		QueueCapacity: s.opts.QueueDepth,
+		Workers:       s.opts.Workers,
+		Draining:      s.draining,
 	}
 	st.Latency.Count = s.counters.latencyCount
-	st.Latency.TotalMs = s.counters.latencyTotalMs
-	st.Latency.MaxMs = s.counters.latencyMaxMs
+	st.Latency.TotalMs = s.counters.latencyTotal.Milliseconds()
+	st.Latency.MaxMs = s.counters.latencyMax.Milliseconds()
 	s.mu.Unlock()
 	ms := core.MemoStats()
 	st.Memo.Entries, st.Memo.Hits, st.Memo.Misses = ms.Entries, ms.Hits, ms.Misses
@@ -300,12 +288,9 @@ func (s *Server) StatsSnapshot() Stats {
 
 // observeLatency records one data-endpoint service time.
 func (s *Server) observeLatency(elapsed time.Duration) {
-	ms := elapsed.Milliseconds()
 	s.mu.Lock()
 	s.counters.latencyCount++
-	s.counters.latencyTotalMs += ms
-	if ms > s.counters.latencyMaxMs {
-		s.counters.latencyMaxMs = ms
-	}
+	s.counters.latencyTotal += elapsed
+	s.counters.latencyMax = max(s.counters.latencyMax, elapsed)
 	s.mu.Unlock()
 }

@@ -1,8 +1,10 @@
 package server
 
 // End-to-end tests over the real HTTP surface with real simulations:
-// determinism of the bytes, the journal store (read-through, resume
-// after drain), deadline and drain envelopes, and the error paths.
+// determinism of the bytes, reuse through the disk result cache across
+// a restart (read-through, resume after drain), deadline and drain
+// envelopes, and the error paths; plus unit tests of deadline
+// resolution and latency accounting.
 // Interleaving-sensitive machinery is covered deterministically in
 // flight_test.go; the timing-dependent tests here lean on sweeps that
 // take hundreds of milliseconds cold against polls of a few
@@ -13,14 +15,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"asmp/internal/core"
 	"asmp/internal/figures"
 )
 
@@ -35,6 +38,45 @@ func startServer(t *testing.T, opts Options, drainManually bool) (*Server, *http
 		t.Cleanup(func() { s.Drain() })
 	}
 	return s, ts
+}
+
+// attachCache attaches a fresh disk result cache to core for the rest of
+// the test and returns its directory. core's memo is reset first, so
+// everything the test simulates is published to the new cache; calling
+// core.ResetMemo between two servers then stands in for a process
+// restart — the second server can reuse a cell only through the cache.
+// Cleanup detaches the cache and resets the memo again, so later tests
+// start without either.
+func attachCache(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	core.ResetMemo()
+	if err := core.AttachResultCache(dir, 0); err != nil {
+		t.Fatalf("attach result cache: %v", err)
+	}
+	t.Cleanup(func() {
+		if err := core.AttachResultCache("", 0); err != nil {
+			t.Errorf("detach result cache: %v", err)
+		}
+		core.ResetMemo()
+	})
+	return dir
+}
+
+// renderFigure renders a figure directly, exactly as asmp-run does.
+func renderFigure(t *testing.T, id string) (txt, csv string) {
+	t.Helper()
+	fig, ok := figures.Get(id)
+	if !ok {
+		t.Fatalf("figure %s not registered", id)
+	}
+	var tb, cb strings.Builder
+	for _, tab := range fig.Run(figures.Options{Quick: true, Seed: 1}) {
+		tb.WriteString(tab.String())
+		tb.WriteByte('\n')
+		cb.WriteString(tab.CSV())
+	}
+	return tb.String(), cb.String()
 }
 
 // postResult is a goroutine-safe POST outcome (no *testing.T involved,
@@ -180,12 +222,12 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-func TestSweepJournalReadThrough(t *testing.T) {
-	dir := t.TempDir()
-	_, ts := startServer(t, Options{Workers: 2, JournalDir: dir}, false)
+func TestSweepCacheReadThrough(t *testing.T) {
+	dir := attachCache(t)
+	_, ts1 := startServer(t, Options{Workers: 2}, false)
 	req := `{"workload":"specjbb","configs":["4f-0s"],"runs":2}`
 
-	code, _, b1 := postJSON(t, ts.URL+"/v1/sweep", req)
+	code, _, b1 := postJSON(t, ts1.URL+"/v1/sweep", req)
 	if code != 200 {
 		t.Fatalf("sweep = %d: %s", code, b1)
 	}
@@ -199,18 +241,21 @@ func TestSweepJournalReadThrough(t *testing.T) {
 	if !strings.Contains(resp.Table, "max asymmetric CoV") {
 		t.Fatalf("sweep table missing CoV note:\n%s", resp.Table)
 	}
-	files, _ := filepath.Glob(filepath.Join(dir, "sweep-*.jsonl"))
-	if len(files) != 1 {
-		t.Fatalf("journal files = %v, want exactly one sweep journal", files)
+	files, _ := filepath.Glob(filepath.Join(dir, "*.cell"))
+	if len(files) != 2 {
+		t.Fatalf("cache entries = %v, want exactly the sweep's two cells", files)
 	}
 
-	// Identical request: byte-identical answer, resumed from the store.
-	_, _, b2 := postJSON(t, ts.URL+"/v1/sweep", req)
+	// A restarted server (fresh memo, same cache): byte-identical
+	// answer, every cell read from the cache instead of simulated.
+	core.ResetMemo()
+	s2, ts2 := startServer(t, Options{Workers: 2}, false)
+	_, _, b2 := postJSON(t, ts2.URL+"/v1/sweep", req)
 	if !bytes.Equal(b1, b2) {
-		t.Fatalf("journal-resumed sweep differs:\n%s\n%s", b1, b2)
+		t.Fatalf("cache-served sweep differs:\n%s\n%s", b1, b2)
 	}
-	if st := stats(t, ts); st.JournalResumes < 1 {
-		t.Fatalf("journalResumes = %d, want >= 1", st.JournalResumes)
+	if st := s2.StatsSnapshot(); st.Cache.Hits != 2 || st.Cache.Stored != 2 {
+		t.Fatalf("cache hits/stored = %d/%d, want 2/2 (both cells served from disk, none re-simulated)", st.Cache.Hits, st.Cache.Stored)
 	}
 }
 
@@ -287,27 +332,30 @@ func TestConcurrentIdenticalSweepsCoalesce(t *testing.T) {
 }
 
 func TestDrainMidSweepThenResumeByteIdentical(t *testing.T) {
-	dir := t.TempDir()
 	req := `{"workload":"specjbb","seed":7,"runs":3}`
 
+	// Reference: a never-interrupted sweep on a cold memo with no cache
+	// attached.
+	core.ResetMemo()
+	_, ts0 := startServer(t, Options{Workers: 1}, false)
+	code0, _, want := postJSON(t, ts0.URL+"/v1/sweep", req)
+	if code0 != 200 {
+		t.Fatalf("reference sweep = %d: %s", code0, want)
+	}
+
 	// Server 1: drain lands mid-sweep (the sweep is ~600ms cold; we
-	// drain as soon as the journal holds its first records, with a 30ms
+	// drain as soon as the cache holds its first cell, with a 30ms
 	// grace).
-	s1, ts1 := startServer(t, Options{Workers: 1, DrainTimeout: 30 * time.Millisecond, JournalDir: dir}, true)
+	attachCache(t)
+	s1, ts1 := startServer(t, Options{Workers: 1, DrainTimeout: 30 * time.Millisecond}, true)
 	got := make(chan postResult, 1)
 	go func() {
 		got <- post(ts1.URL+"/v1/sweep", req)
 	}()
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		files, _ := filepath.Glob(filepath.Join(dir, "sweep-*.jsonl"))
-		if len(files) == 1 {
-			if fi, err := os.Stat(files[0]); err == nil && fi.Size() > 200 {
-				break
-			}
-		}
+	for core.MemoStats().Disk.Stored < 1 {
 		if time.Now().After(deadline) {
-			t.Fatal("journal never grew; sweep did not start")
+			t.Fatal("cache never stored a cell; sweep did not start")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -330,72 +378,55 @@ func TestDrainMidSweepThenResumeByteIdentical(t *testing.T) {
 		t.Fatalf("envelope = %s (partial present: %t), want draining with partial", env.Error.Code, env.Partial != nil)
 	}
 
-	// Server 2, same store: the journal resumes and the answer is
-	// byte-identical to a never-interrupted sweep (server 3, fresh
-	// store).
-	s2, ts2 := startServer(t, Options{Workers: 1, JournalDir: dir}, false)
+	// Server 2, restarted on the same cache: the cells server 1
+	// finished are read back from disk, and the answer is byte-identical
+	// to the never-interrupted reference.
+	core.ResetMemo()
+	s2, ts2 := startServer(t, Options{Workers: 1}, false)
 	code2, _, b2 := postJSON(t, ts2.URL+"/v1/sweep", req)
 	if code2 != 200 {
 		t.Fatalf("resumed sweep = %d: %s", code2, b2)
 	}
-	if st := s2.StatsSnapshot(); st.JournalResumes < 1 {
-		t.Fatalf("journalResumes = %d, want >= 1", st.JournalResumes)
+	if st := s2.StatsSnapshot(); st.Cache.Hits < 1 {
+		t.Fatalf("cache hits = %d, want >= 1", st.Cache.Hits)
 	}
-
-	_, ts3 := startServer(t, Options{Workers: 1, JournalDir: t.TempDir()}, false)
-	code3, _, b3 := postJSON(t, ts3.URL+"/v1/sweep", req)
-	if code3 != 200 {
-		t.Fatalf("reference sweep = %d: %s", code3, b3)
-	}
-	if !bytes.Equal(b2, b3) {
-		t.Fatalf("resumed sweep differs from uninterrupted sweep:\n%s\n%s", b2, b3)
+	if !bytes.Equal(b2, want) {
+		t.Fatalf("resumed sweep differs from uninterrupted sweep:\n%s\n%s", b2, want)
 	}
 	var resumed sweepResponse
 	if err := json.Unmarshal(b2, &resumed); err != nil {
 		t.Fatal(err)
 	}
-	if resumed.Cancelled != 0 || resumed.JournalIncomplete {
+	if resumed.Cancelled != 0 {
 		t.Fatalf("resumed sweep not clean: %+v", resumed)
 	}
 }
 
 func TestFigureBytesMatchDirectRender(t *testing.T) {
-	dir := t.TempDir()
-	s, ts := startServer(t, Options{Workers: 2, JournalDir: dir}, false)
+	// The reference is rendered cold, with no cache attached.
+	core.ResetMemo()
+	txt, csv := renderFigure(t, "2a")
 
-	code, b := getBody(t, ts.URL+"/v1/figure/2a?quick=1")
+	attachCache(t)
+	_, ts1 := startServer(t, Options{Workers: 2}, false)
+	code, b := getBody(t, ts1.URL+"/v1/figure/2a?quick=1")
 	if code != 200 {
 		t.Fatalf("figure = %d: %s", code, b)
 	}
-
-	// Render the same figure directly, exactly as asmp-run does.
-	fig, ok := figures.Get("2a")
-	if !ok {
-		t.Fatal("figure 2a not registered")
-	}
-	var txt, csv strings.Builder
-	for _, tab := range fig.Run(figures.Options{Quick: true, Seed: 1}) {
-		txt.WriteString(tab.String())
-		txt.WriteByte('\n')
-		csv.WriteString(tab.CSV())
-	}
-	if string(b) != txt.String() {
-		t.Fatalf("server figure bytes differ from direct render:\n--- server\n%s\n--- direct\n%s", b, txt.String())
+	if string(b) != txt {
+		t.Fatalf("server figure bytes differ from direct render:\n--- server\n%s\n--- direct\n%s", b, txt)
 	}
 
-	// CSV rendering comes from the same flight's result.
-	code, bcsv := getBody(t, ts.URL+"/v1/figure/2a?quick=1&format=csv")
-	if code != 200 || string(bcsv) != csv.String() {
+	// The CSV rendering, from a restarted server on the same cache: its
+	// cells come back from disk.
+	core.ResetMemo()
+	s2, ts2 := startServer(t, Options{Workers: 2}, false)
+	code, bcsv := getBody(t, ts2.URL+"/v1/figure/2a?quick=1&format=csv")
+	if code != 200 || string(bcsv) != csv {
 		t.Fatalf("server CSV differs from direct render (status %d)", code)
 	}
-
-	// And the second fetch above came from the durable store.
-	if st := s.StatsSnapshot(); st.JournalResumes < 1 {
-		t.Fatalf("journalResumes = %d, want >= 1", st.JournalResumes)
-	}
-	files, _ := filepath.Glob(filepath.Join(dir, "figure-*.jsonl"))
-	if len(files) != 1 {
-		t.Fatalf("figure journals = %v, want exactly one", files)
+	if st := s2.StatsSnapshot(); st.Cache.Hits < 1 {
+		t.Fatalf("cache hits = %d, want >= 1", st.Cache.Hits)
 	}
 }
 
@@ -475,40 +506,75 @@ func TestShedReturns429WithRetryAfter(t *testing.T) {
 	}
 }
 
-func TestFigureDeadlineNeverPoisonsJournal(t *testing.T) {
-	dir := t.TempDir()
-	_, ts := startServer(t, Options{Workers: 2, JournalDir: dir}, false)
+func TestFigureDeadlineNeverPoisonsCache(t *testing.T) {
+	// The reference is rendered cold, with no cache attached. Figure 9b
+	// is unique to this test, so no other test warms its cells.
+	core.ResetMemo()
+	txt, _ := renderFigure(t, "9b")
 
-	// An experiment-backed figure (9b, unique to this test so no other
-	// test warms its cells) against a 1ms deadline: cancellation lands
-	// mid-sweep and surfaces as CANCELLED table rows, not a panic. The
-	// partial rendering must be discarded — never answered 200, never
-	// journaled as the figure's durable bytes.
-	code, b := getBody(t, ts.URL+"/v1/figure/9b?quick=1&deadline_ms=1")
+	attachCache(t)
+	_, ts1 := startServer(t, Options{Workers: 2}, false)
+
+	// An experiment-backed figure against a 1ms deadline: cancellation
+	// lands mid-sweep and surfaces as CANCELLED table rows, not a panic.
+	// The partial rendering must be discarded — never answered 200 — and
+	// no cancelled cell may reach the cache.
+	code, b := getBody(t, ts1.URL+"/v1/figure/9b?quick=1&deadline_ms=1")
 	if code != http.StatusGatewayTimeout && code != 200 {
 		t.Fatalf("short-deadline figure = %d, want 504 (or 200 if the render won the race): %s", code, b)
 	}
 	if code == 200 {
-		t.Log("figure finished inside 1ms; the byte check below still pins the journal")
+		t.Log("figure finished inside 1ms; the byte check below still pins the cache")
 	}
 
-	// An identical request with an ample deadline must yield the full
-	// figure, byte-identical to a direct render — not a poisoned partial
-	// served back out of the journal.
-	code, b = getBody(t, ts.URL+"/v1/figure/9b?quick=1")
+	// An identical request to a restarted server on the same cache, with
+	// an ample deadline, must yield the full figure, byte-identical to
+	// the direct render — not a poisoned partial.
+	core.ResetMemo()
+	_, ts2 := startServer(t, Options{Workers: 2}, false)
+	code, b = getBody(t, ts2.URL+"/v1/figure/9b?quick=1")
 	if code != 200 {
 		t.Fatalf("figure = %d: %s", code, b)
 	}
-	fig, ok := figures.Get("9b")
-	if !ok {
-		t.Fatal("figure 9b not registered")
+	if string(b) != txt {
+		t.Fatalf("figure after a cancelled render differs from direct render:\n--- server\n%s\n--- direct\n%s", b, txt)
 	}
-	var txt strings.Builder
-	for _, tab := range fig.Run(figures.Options{Quick: true, Seed: 1}) {
-		txt.WriteString(tab.String())
-		txt.WriteByte('\n')
+}
+
+func TestResolveDeadlineCapsWithoutOverflow(t *testing.T) {
+	s := &Server{opts: Options{}.withDefaults()}
+	maxMs := s.opts.MaxDeadline.Milliseconds()
+	cases := []struct {
+		ms   int64
+		want time.Duration
+	}{
+		{0, s.opts.DefaultDeadline},
+		{1, time.Millisecond},
+		{maxMs, s.opts.MaxDeadline},
+		{maxMs + 1, s.opts.MaxDeadline},
+		// The smallest input whose conversion to a Duration overflows.
+		{math.MaxInt64/int64(time.Millisecond) + 1, s.opts.MaxDeadline},
+		{math.MaxInt64, s.opts.MaxDeadline},
 	}
-	if string(b) != txt.String() {
-		t.Fatalf("figure after a cancelled render differs from direct render:\n--- server\n%s\n--- direct\n%s", b, txt.String())
+	for _, tc := range cases {
+		d, err := s.resolveDeadline(tc.ms)
+		if err != nil {
+			t.Fatalf("resolveDeadline(%d): %v", tc.ms, err)
+		}
+		if d <= 0 || d > s.opts.MaxDeadline || d != tc.want {
+			t.Errorf("resolveDeadline(%d) = %v, want %v (positive, at most %v)", tc.ms, d, tc.want, s.opts.MaxDeadline)
+		}
+	}
+}
+
+func TestLatencyTotalKeepsSubMillisecondRequests(t *testing.T) {
+	s := &Server{opts: Options{}.withDefaults()}
+	for i := 0; i < 10; i++ {
+		s.observeLatency(600 * time.Microsecond)
+	}
+	st := s.StatsSnapshot()
+	if st.Latency.Count != 10 || st.Latency.TotalMs != 6 || st.Latency.MaxMs != 0 {
+		t.Fatalf("latency count/totalMs/maxMs = %d/%d/%d, want 10/6/0",
+			st.Latency.Count, st.Latency.TotalMs, st.Latency.MaxMs)
 	}
 }
