@@ -74,10 +74,13 @@ test-shard:
 # miss — a wrong result must never be served. The regular suite samples
 # the matrix; ASMP_CACHE_FULL walks all of it. Runs under -race because
 # the cache is shared mutable state, plus the cross-process publish
-# stress and the warm-respawn chaos test. Set ASMP_CRASH_ARTIFACT_DIR to
-# keep the corrupted entry when the property breaks.
+# stress, the warm-respawn chaos test and the tests of core's cell
+# table, which fronts the cache (memo, coalescing, and a stress run
+# mixing failing leaders and cancelled waiters over an attached cache).
+# Set ASMP_CRASH_ARTIFACT_DIR to keep the corrupted entry when the
+# property breaks.
 test-cache:
-	ASMP_CACHE_FULL=1 $(GO) test -race -v -run 'TestCacheCorruption|TestCorrupt|TestMultiProcessPublish|TestDiskCache|TestChaosRespawnWarmHits' ./internal/resultcache ./internal/core ./internal/shard
+	ASMP_CACHE_FULL=1 $(GO) test -race -v -run 'TestCacheCorruption|TestCorrupt|TestMultiProcessPublish|TestDiskCache|TestChaosRespawnWarmHits|TestCellTableStress|TestFlight|TestMemo' ./internal/resultcache ./internal/core ./internal/shard
 
 # The asmp-serve end-to-end smoke: builds the real binaries, starts the
 # daemon, proves duplicate concurrent sweeps coalesce (via /stats),

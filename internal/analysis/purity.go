@@ -7,26 +7,32 @@ import (
 )
 
 // Purity audits the identity/memoization contract from PR 6–7: every
-// workload.Identifier implementation and every memo-key constructor
-// must be a pure function of its inputs. These functions' outputs are
-// cache keys and journal cell identities — if one mutates state, reads
-// a mutable global, iterates a map, or formats a pointer (addresses are
-// per-process), two runs of the same (config, seed) disagree about
-// which cells are "the same", and request coalescing, memoization and
-// resume all silently fracture.
+// workload.Identifier implementation, every memo-key constructor and
+// every result-cache key constructor must be a pure function of its
+// inputs. These functions' outputs are cache keys and journal cell
+// identities — if one mutates state, reads a mutable global, iterates a
+// map, or formats a pointer (addresses are per-process), two runs of
+// the same (config, seed) disagree about which cells are "the same",
+// and request coalescing, memoization, the disk cache and resume all
+// silently fracture.
 //
 // Roots are methods named Identity() string and functions returning a
-// type named memoKey. The audit walks everything statically reachable
-// from a root through module-local calls; calls through interfaces or
-// function values are a documented precision gap (module.go).
+// type named memoKey or resultcache.Key. The audit walks everything
+// statically reachable from a root through module-local calls; calls
+// through interfaces or function values are a documented precision gap
+// (module.go).
 var Purity = &Analyzer{
 	Name:      "purity",
-	Doc:       "require Identity() and memo-key functions (and everything they call) to be side-effect-free and address-independent",
+	Doc:       "require Identity(), memo-key and cache-key functions (and everything they call) to be side-effect-free and address-independent",
 	Tier:      TierInterprocedural,
-	Invariant: "identity and memo-key functions are pure: no non-local writes, no map iteration, no mutable-global reads, no address-dependent formatting",
+	Invariant: "identity, memo-key and cache-key functions are pure: no non-local writes, no map iteration, no mutable-global reads, no address-dependent formatting",
 	Why:       "identities are cache keys and journal cell names; an impure identity makes coalescing, memoization and resume disagree about which cells match",
 	Run:       runPurity,
 }
+
+// resultcachePkg defines Key, the cross-process cell address: a
+// function deriving one is a purity root like a memoKey constructor.
+const resultcachePkg = "asmp/internal/resultcache"
 
 func runPurity(p *Pass) {
 	if p.Mod == nil {
@@ -48,9 +54,10 @@ func runPurity(p *Pass) {
 	}
 }
 
-// isPurityRoot reports whether fn is an identity or memo-key function:
+// isPurityRoot reports whether fn is an identity or cell-key function:
 // a method Identity() string, or a function whose first result is a
-// type named memoKey.
+// type named memoKey (the in-memory cell key) or resultcache.Key (the
+// cross-process cache address).
 func isPurityRoot(fn *types.Func) bool {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok {
@@ -62,9 +69,12 @@ func isPurityRoot(fn *types.Func) bool {
 		return true
 	}
 	if sig.Results().Len() >= 1 {
-		if named, ok := sig.Results().At(0).Type().(*types.Named); ok &&
-			named.Obj().Name() == "memoKey" {
-			return true
+		if named, ok := sig.Results().At(0).Type().(*types.Named); ok {
+			obj := named.Obj()
+			if obj.Name() == "memoKey" ||
+				obj.Name() == "Key" && obj.Pkg() != nil && obj.Pkg().Path() == resultcachePkg {
+				return true
+			}
 		}
 	}
 	return false

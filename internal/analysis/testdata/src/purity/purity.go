@@ -1,10 +1,14 @@
-// Corpus for purity: Identity() methods and memoKey constructors (and
-// everything they reach through module-local calls) must be pure — no
-// non-local writes, no map iteration, no mutable-global reads, no
-// address-dependent formatting.
+// Corpus for purity: Identity() methods, memoKey constructors and
+// resultcache.Key constructors (and everything they reach through
+// module-local calls) must be pure — no non-local writes, no map
+// iteration, no mutable-global reads, no address-dependent formatting.
 package purecorpus
 
-import "fmt"
+import (
+	"fmt"
+
+	"asmp/internal/resultcache"
+)
 
 var calls int
 
@@ -51,4 +55,13 @@ type memoKey struct{ id string }
 func memoKeyFor(id string) memoKey {
 	seq++ // want purity "identity function writes package-level variable seq"
 	return memoKey{id: id}
+}
+
+var published int
+
+// cacheKeyFor derives the cross-process cache address: a root by its
+// result type alone, whatever its name.
+func cacheKeyFor(k memoKey) resultcache.Key {
+	published++ // want purity "identity function writes package-level variable published"
+	return resultcache.KeyOf("cell|" + k.id)
 }

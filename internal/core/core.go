@@ -63,69 +63,27 @@ type RunSpec struct {
 }
 
 // Execute performs one run on a fresh platform and returns its result.
-// Panics from workload code or tripped watchdogs propagate; use
-// ExecuteSafe to receive them as errors. Memoizable cells (see memo.go)
-// are served from the process-wide cache when an identical cell already
-// ran, and concurrent executions of the same still-cold cell coalesce
-// into one (see flight.go): exactly one caller simulates, the rest are
-// served its Result.
+// Panics from workload code or tripped watchdogs propagate with their
+// original values; use ExecuteSafe to receive them as errors.
+// Memoizable cells go through the process-wide cell table (memo.go): an
+// identical cell that already ran is served from it, and concurrent
+// executions of the same still-cold cell coalesce into one — exactly
+// one caller simulates, the rest are served its Result.
 func Execute(spec RunSpec) workload.Result {
-	key, memoizable := memoKeyFor(spec)
-	if memoizable && !cancelRequested(spec.Cancel) {
-		if res, hit := memoLookup(key); hit {
-			return res
-		}
-		res, state := enterFlight(key, spec.Cancel)
-		switch state {
-		case flightServed:
-			return res
-		case flightLead:
-			// Leader-only disk read: the whole flight coalesced behind
-			// this caller, so one verified disk hit serves every waiter
-			// without any of them simulating. Store-before-retire holds
-			// exactly as for a simulated result.
-			if hit, ok := diskLookup(key); ok {
-				memoStore(key, hit)
-				finishFlight(key, hit, true)
-				return hit
-			}
-			return executeLead(spec, key)
-		}
-		// flightRetry: the leader failed or our cancel fired while
-		// waiting; fall through and execute directly (deterministically
-		// reproducing the failure, or failing ErrCancelled).
-	}
-	pl := workload.NewPlatform(spec.Config, spec.Sched, spec.Seed)
-	defer pl.Close()
-	res := executeOn(spec, pl)
-	// Close explicitly (idempotent) so the cache only ever holds runs
-	// whose teardown also succeeded; a teardown panic propagates here
-	// before the store.
-	pl.Close()
-	if memoizable {
-		memoStore(key, res)
-		diskStore(key, res)
-	}
+	res, _ := memoized(spec, simulate)
 	return res
 }
 
-// executeLead is Execute's leader path: it runs the cell and publishes
-// the outcome to the flight's waiters on every exit, panics included
-// (a waiter of a failed flight re-executes and fails identically).
-func executeLead(spec RunSpec, key memoKey) (res workload.Result) {
-	ok := false
-	defer func() { finishFlight(key, res, ok) }()
+// simulate runs spec on a fresh platform, letting panics propagate.
+func simulate(spec RunSpec) (workload.Result, error) {
 	pl := workload.NewPlatform(spec.Config, spec.Sched, spec.Seed)
 	defer pl.Close()
-	res = executeOn(spec, pl)
+	res := executeOn(spec, pl)
+	// Close explicitly (idempotent) so the cell table only ever holds
+	// runs whose teardown also succeeded; a teardown panic propagates
+	// here, before the cell completes.
 	pl.Close()
-	// Store before finishFlight's deferred retire: enterFlight re-checks
-	// the memo under the flight lock, closing the window where a new
-	// arrival would find neither the flight nor the cached Result.
-	memoStore(key, res)
-	diskStore(key, res)
-	ok = true
-	return res
+	return res, nil
 }
 
 // executeOn arms limits, cancellation and faults on the platform, then
@@ -177,32 +135,13 @@ func executeOn(spec RunSpec, pl *workload.Platform) workload.Result {
 // reported the same way. Error messages carry only the panic value,
 // never stack or goroutine state, so repeated failing runs produce
 // identical errors and sweeps stay deterministic.
-func ExecuteSafe(spec RunSpec) (res workload.Result, err error) {
-	key, memoizable := memoKeyFor(spec)
-	if memoizable && !cancelRequested(spec.Cancel) {
-		if hit, found := memoLookup(key); found {
-			return hit, nil
-		}
-		shared, state := enterFlight(key, spec.Cancel)
-		switch state {
-		case flightServed:
-			return shared, nil
-		case flightLead:
-			// Registered before the recover/memoStore defer below, so it
-			// runs last: waiters are only released once the Result is in
-			// the memo (or the failure is final).
-			defer func() { finishFlight(key, res, err == nil) }()
-			// Leader-only disk read, as in Execute: a verified hit is
-			// stored in the memo here and published to the waiters by
-			// the deferred finishFlight above.
-			if hit, ok := diskLookup(key); ok {
-				memoStore(key, hit)
-				return hit, nil
-			}
-		}
-		// flightRetry falls through: execute directly, deterministically
-		// reproducing the leader's failure or our own cancellation.
-	}
+func ExecuteSafe(spec RunSpec) (workload.Result, error) {
+	return memoized(spec, simulateSafe)
+}
+
+// simulateSafe is simulate with panics and teardown failures recovered
+// into errors.
+func simulateSafe(spec RunSpec) (res workload.Result, err error) {
 	pl := workload.NewPlatform(spec.Config, spec.Sched, spec.Seed)
 	defer func() {
 		if r := recover(); r != nil && err == nil {
@@ -213,15 +152,9 @@ func ExecuteSafe(spec RunSpec) (res workload.Result, err error) {
 		}
 		if err != nil {
 			res = workload.Result{}
-		} else if memoizable {
-			// Success only, after teardown: failures stay uncached so they
-			// re-execute (deterministically) and report the same error.
-			memoStore(key, res)
-			diskStore(key, res)
 		}
 	}()
-	res = executeOn(spec, pl)
-	return res, nil
+	return executeOn(spec, pl), nil
 }
 
 // ErrCancelled marks a run stopped by its Cancel signal rather than by

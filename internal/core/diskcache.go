@@ -1,50 +1,35 @@
 package core
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 
 	"asmp/internal/resultcache"
-	"asmp/internal/workload"
 )
 
-// Disk result cache (internal/resultcache) — the cell memo's
-// cross-process extension. When a cache is attached, the memo becomes
-// read-through/write-through: a flight leader consults the disk before
-// simulating, and every Result the memo stores is also published to
-// disk, so shard workers, server restarts and back-to-back CLI
+// Disk result cache (internal/resultcache) — the cell table's
+// cross-process extension. The attached cache lives in the table
+// (memo.go) and makes it read-through/write-through: a cell's leader
+// consults the disk before simulating and publishes every Result it
+// simulates, so shard workers, server restarts and back-to-back CLI
 // invocations warm-hit cells an earlier process already paid for.
 //
-// The placement keeps disk I/O off the common paths: in-memory hits
-// never touch the disk, and concurrent cold callers coalesce into one
-// flight whose leader does a single disk read for all of them. The
-// contract is unchanged from the memo's (DESIGN.md §12): a verified
-// disk hit is bit-identical to a fresh simulation, and every other
-// disk outcome — miss, refusal, I/O error — falls back to simulating,
-// so attaching a cache can never alter output bytes.
-
-// diskCache is the process-wide attached cache (nil = bypassed).
-var diskCache struct {
-	mu  sync.Mutex //asmp:allow goroutine guards a process-wide knob set once at startup; reads are ordinary lookups
-	c   *resultcache.Cache
-	dir string
-}
+// The placement keeps disk I/O off the common paths: completed cells
+// never touch the disk, and concurrent cold callers wait on one leader
+// that does a single disk read for all of them. The contract is
+// unchanged from the table's (DESIGN.md §12): a verified disk hit is
+// bit-identical to a fresh simulation, and every other disk outcome —
+// miss, refusal, I/O error — falls back to simulating, so attaching a
+// cache can never alter output bytes.
 
 // SetResultCache attaches (or, with nil, detaches) the process-wide
 // disk result cache that Execute and ExecuteSafe read and write
 // through. Detached is the default: without a cache every process
 // simulates its own cells, exactly as before.
 func SetResultCache(c *resultcache.Cache) {
-	diskCache.mu.Lock()
-	defer diskCache.mu.Unlock()
-	diskCache.c = c
-	if c != nil {
-		diskCache.dir = c.Dir()
-	} else {
-		diskCache.dir = ""
-	}
+	cells.mu.Lock()
+	defer cells.mu.Unlock()
+	cells.disk = c
 }
 
 // AttachResultCache opens a cache at dir (creating it as needed,
@@ -65,18 +50,19 @@ func AttachResultCache(dir string, maxMB int) error {
 
 // ResultCache returns the attached cache, or nil.
 func ResultCache() *resultcache.Cache {
-	diskCache.mu.Lock()
-	defer diskCache.mu.Unlock()
-	return diskCache.c
+	cells.mu.Lock()
+	defer cells.mu.Unlock()
+	return cells.disk
 }
 
 // ResultCacheDir returns the attached cache's directory, or "".
 // The shard supervisor exports it (resultcache.EnvDir) to re-exec'd
 // workers so a respawned worker warm-hits its predecessor's cells.
 func ResultCacheDir() string {
-	diskCache.mu.Lock()
-	defer diskCache.mu.Unlock()
-	return diskCache.dir
+	if c := ResultCache(); c != nil {
+		return c.Dir()
+	}
+	return ""
 }
 
 // cacheKeyFor renders a memoKey's canonical identity string and
@@ -91,7 +77,10 @@ func cacheKeyFor(key memoKey) resultcache.Key {
 	field := func(s string) {
 		// Length-prefix each field so field boundaries cannot be forged
 		// by crafted contents (an Identity containing "|").
-		fmt.Fprintf(&b, "%d:%s|", len(s), s)
+		b.WriteString(strconv.Itoa(len(s)))
+		b.WriteByte(':')
+		b.WriteString(s)
+		b.WriteByte('|')
 	}
 	f64 := func(v float64) { field(strconv.FormatFloat(v, 'x', -1, 64)) }
 	field("cell/v1")
@@ -110,28 +99,4 @@ func cacheKeyFor(key memoKey) resultcache.Key {
 	field(strconv.Itoa(key.limits.MaxEvents))
 	field(strconv.FormatBool(key.limits.DetectDeadlock))
 	return resultcache.KeyOf(b.String())
-}
-
-// diskLookup consults the attached cache for key. Only verified
-// entries are served; misses, refusals (the entry is set aside as
-// .damaged by the cache) and I/O problems all report !ok and the
-// caller simulates.
-func diskLookup(key memoKey) (workload.Result, bool) {
-	c := ResultCache()
-	if c == nil {
-		return workload.Result{}, false
-	}
-	return c.Get(cacheKeyFor(key))
-}
-
-// diskStore publishes a successful run's Result beside its memoStore.
-// Best-effort: a failed publish never fails the run. Results without
-// an Events digest state (journal replays) cannot be verified on a
-// future read and are skipped by the cache itself.
-func diskStore(key memoKey, res workload.Result) {
-	c := ResultCache()
-	if c == nil {
-		return
-	}
-	c.Put(cacheKeyFor(key), res)
 }

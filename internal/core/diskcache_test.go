@@ -2,13 +2,14 @@ package core
 
 import (
 	"os"
+	"reflect"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"asmp/internal/cpu"
 	"asmp/internal/resultcache"
 	"asmp/internal/sched"
-	"asmp/internal/sim"
 )
 
 // withDiskCache attaches a fresh disk cache for one test, restoring
@@ -168,36 +169,81 @@ func TestDiskCacheFailuresNeverStored(t *testing.T) {
 	}
 }
 
+// TestCacheKeyDiscriminates requires every leaf field of memoKey —
+// each scheduler option and each watchdog limit included — to reach
+// the disk address on its own. The variants are derived by reflection,
+// so a field added to memoKey, sched.Options or sim.Limits without a
+// matching cacheKeyFor line fails here instead of silently sharing disk
+// entries with its default.
 func TestCacheKeyDiscriminates(t *testing.T) {
 	var execs atomic.Int64
 	base, ok := memoKeyFor(memoSpec("key-disc", &execs))
 	if !ok {
 		t.Fatal("spec non-memoizable")
 	}
-	variants := []memoKey{
-		func() memoKey { k := base; k.seed = 99; return k }(),
-		func() memoKey { k := base; k.config = "8f-0s"; return k }(),
-		func() memoKey { k := base; k.workload = "memo-probe|other"; return k }(),
-		func() memoKey { k := base; k.fault = "throttle@1s:0:0.5"; return k }(),
-		func() memoKey { k := base; k.sched.Timeslice = base.sched.Timeslice * 2; return k }(),
-		func() memoKey { k := base; k.sched.RandomWakeups = !base.sched.RandomWakeups; return k }(),
-		func() memoKey { k := base; k.sched.StealThreshold++; return k }(),
-		func() memoKey { k := base; k.limits = sim.Limits{MaxEvents: 5}; return k }(),
-		// Field contents must not forge boundaries: an identity that
-		// embeds the canonical separator still gets its own address.
-		func() memoKey { k := base; k.workload = k.workload + "|1:x"; return k }(),
-	}
 	seen := map[string]string{cacheKeyFor(base).Desc: "base"}
-	for i, v := range variants {
-		d := cacheKeyFor(v).Desc
+	distinct := func(name string, k memoKey) {
+		t.Helper()
+		d := cacheKeyFor(k).Desc
 		if prev, dup := seen[d]; dup {
-			t.Fatalf("variant %d collides with %s: %q", i, prev, d)
+			t.Fatalf("variant %s collides with %s: %q", name, prev, d)
 		}
-		seen[d] = "variant"
+		seen[d] = name
 	}
+	leaves := 0
+	k := base
+	forEachLeaf(reflect.ValueOf(&k).Elem(), "memoKey", func(name string, f reflect.Value) {
+		leaves++
+		// memoKey's fields are unexported; write through their address.
+		v := reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
+		old := reflect.New(v.Type()).Elem()
+		old.Set(v)
+		bump(v)
+		distinct(name, k)
+		v.Set(old)
+	})
+	if leaves < 14 { // 4 in memoKey, 7 in sched.Options, 3 in sim.Limits
+		t.Fatalf("walked %d leaf fields, want every field of memoKey, sched.Options and sim.Limits", leaves)
+	}
+	// Field contents must not forge boundaries: an identity that embeds
+	// the canonical separator still gets its own address.
+	forged := base
+	forged.workload += "|1:x"
+	distinct("forged separator", forged)
 	// Same key, same address — the desc (and digest) are pure.
 	if cacheKeyFor(base) != cacheKeyFor(base) {
 		t.Fatal("cacheKeyFor is not deterministic")
+	}
+}
+
+// forEachLeaf calls f with every non-struct field reachable from the
+// struct v, naming each by its dotted path.
+func forEachLeaf(v reflect.Value, path string, f func(name string, leaf reflect.Value)) {
+	for i := 0; i < v.NumField(); i++ {
+		field, name := v.Field(i), path+"."+v.Type().Field(i).Name
+		if field.Kind() == reflect.Struct {
+			forEachLeaf(field, name, f)
+			continue
+		}
+		f(name, field)
+	}
+}
+
+// bump changes a settable leaf to a different value of its kind.
+func bump(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString(v.String() + "~")
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(v.Uint() + 1)
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(v.Float()*2 + 1)
+	default:
+		panic("bump: unsupported leaf kind " + v.Kind().String())
 	}
 }
 
@@ -237,7 +283,7 @@ func TestJournalReplayedResultsNeverPublished(t *testing.T) {
 	key, _ := memoKeyFor(memoSpec("replayed", &execs))
 	res := Execute(memoSpec("replayed", &execs))
 	res.Events = 0
-	diskStore(key, res)
+	c.Put(cacheKeyFor(key), res)
 	if st := c.Stats(); st.Stored != 1 { // just the Execute's own publish
 		t.Fatalf("stored = %d, want 1 (the Events-less store must be skipped)", st.Stored)
 	}

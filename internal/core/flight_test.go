@@ -2,12 +2,14 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"asmp/internal/cpu"
+	"asmp/internal/digest"
 	"asmp/internal/sched"
 	"asmp/internal/sim"
 	"asmp/internal/workload"
@@ -59,11 +61,11 @@ func TestFlightConcurrentIdenticalSpecsExecuteOnce(t *testing.T) {
 	if got := execs.Load(); got != 1 {
 		t.Fatalf("underlying executions = %d, want exactly 1 for %d concurrent identical specs", got, n)
 	}
-	led, coalesced := FlightStats()
+	st := MemoStats()
+	led, coalesced, hits := st.Led, st.Coalesced, st.Hits
 	if led != 1 {
 		t.Fatalf("flights led = %d, want 1", led)
 	}
-	hits := MemoStats().Hits
 	// Everybody but the leader was served either by waiting on the
 	// flight or, if it arrived after the flight retired, by the memo.
 	if coalesced+hits != uint64(n-1) {
@@ -91,7 +93,7 @@ func TestFlightConcurrentIdenticalSpecsExecuteOnce(t *testing.T) {
 	if got := execs.Load(); got != 1 {
 		t.Fatalf("executions after warm herd = %d, want still 1", got)
 	}
-	if led, _ := FlightStats(); led != 1 {
+	if led := MemoStats().Led; led != 1 {
 		t.Fatalf("flights led after warm herd = %d, want still 1", led)
 	}
 }
@@ -229,7 +231,174 @@ func TestFlightPreCancelledSpecNeverJoins(t *testing.T) {
 	if _, err := ExecuteSafe(cancelled); !errors.Is(err, ErrCancelled) {
 		t.Fatalf("pre-cancelled spec: err = %v, want ErrCancelled", err)
 	}
-	if led, coalesced := FlightStats(); led != 0 || coalesced != 0 {
-		t.Fatalf("flight stats = (%d led, %d coalesced), want zeros: cancelled specs execute directly", led, coalesced)
+	if st := MemoStats(); st.Led != 0 || st.Coalesced != 0 {
+		t.Fatalf("flight stats = (%d led, %d coalesced), want zeros: cancelled specs execute directly", st.Led, st.Coalesced)
+	}
+}
+
+// failFirstProbe is an Identifier workload whose first failFirst completed
+// simulations panic. A run stopped by its Cancel never reaches the
+// count, so runs and successes count exactly the simulations that ran
+// to the end. Every run first blocks on gate.
+type failFirstProbe struct {
+	id   string
+	gate <-chan struct{}
+	st   *failFirstState
+}
+
+type failFirstState struct {
+	failFirst       int64
+	runs, successes atomic.Int64
+}
+
+func (w failFirstProbe) Name() string     { return "fail-first-probe" }
+func (w failFirstProbe) Identity() string { return "fail-first-probe|" + w.id }
+
+func (w failFirstProbe) Run(pl *workload.Platform) workload.Result {
+	<-w.gate
+	pl.Env.Go("probe", func(p *sim.Proc) { p.Compute(1e5) })
+	pl.Env.Run()
+	if w.st.runs.Add(1) <= w.st.failFirst {
+		panic("deliberate failure")
+	}
+	w.st.successes.Add(1)
+	return workload.Result{
+		Metric:         "throughput",
+		Value:          pl.Config.ComputePower(),
+		HigherIsBetter: true,
+	}
+}
+
+// TestCellTableStress drives the one cell table with a disk cache
+// attached: many goroutines over overlapping keys, leaders that fail
+// their first executions (or always), pre-cancelled specs and waiters
+// whose Cancel fires mid-wait. Each key must simulate successfully
+// exactly once, no failure may be served to anyone but the caller whose
+// execution failed, every cancelled caller must fail ErrCancelled, and
+// the table must end with one completed cell per successful key and no
+// in-flight cell left behind.
+func TestCellTableStress(t *testing.T) {
+	disk := withDiskCache(t)
+	gate := make(chan struct{})
+	failFirst := []int64{0, 0, 1, 2, 3, 1 << 40} // the last key never succeeds
+	const perKey = 12                            // by i%4: pre-cancelled, cancelled mid-wait, 2× plain
+	probes := make([]failFirstProbe, len(failFirst))
+	for k, f := range failFirst {
+		probes[k] = failFirstProbe{id: fmt.Sprintf("stress-%d", k), gate: gate, st: &failFirstState{failFirst: f}}
+	}
+	spec := func(k int) RunSpec {
+		return RunSpec{
+			Workload: probes[k],
+			Config:   cpu.MustParseConfig("2f-2s/8"),
+			Sched:    sched.Defaults(sched.PolicyNaive),
+			Seed:     7,
+		}
+	}
+	closed := make(chan struct{})
+	close(closed)
+	midWait := make(chan struct{})
+
+	n := len(failFirst) * perKey
+	results := make([]workload.Result, n)
+	errs := make([]error, n)
+	var released sync.WaitGroup
+	released.Add(1)
+	go func() {
+		defer released.Done()
+		// Every caller that may join has made its first lookup once the
+		// misses reach them all (nothing can complete while the gate is
+		// shut), so each is now a blocked leader or a waiter.
+		for MemoStats().Misses < uint64(n-n/4) {
+			runtime.Gosched()
+		}
+		close(midWait)
+		close(gate)
+	}()
+	herd(n, func(i int) {
+		k, s := i/perKey, spec(i/perKey)
+		switch i % 4 {
+		case 0:
+			s.Cancel = closed
+		case 1:
+			s.Cancel = midWait
+		case 3:
+			if failFirst[k] == 0 {
+				// Healthy keys also take the panicking entry point.
+				results[i] = Execute(s)
+				return
+			}
+		}
+		results[i], errs[i] = ExecuteSafe(s)
+	})
+	released.Wait()
+
+	succeeded := 0
+	for k, p := range probes {
+		runs, successes := p.st.runs.Load(), p.st.successes.Load()
+		wantSuccesses := int64(1)
+		if failFirst[k] >= perKey {
+			wantSuccesses = 0
+		}
+		if successes != wantSuccesses {
+			t.Errorf("key %d: %d successful simulations, want %d", k, successes, wantSuccesses)
+		}
+		succeeded += int(successes)
+		var failed int64
+		var served digest.Digest
+		for i := k * perKey; i < (k+1)*perKey; i++ {
+			err := errs[i]
+			switch {
+			case i%4 < 2:
+				if !errors.Is(err, ErrCancelled) {
+					t.Errorf("key %d caller %d (cancelled): err = %v, want ErrCancelled", k, i, err)
+				}
+			case err != nil:
+				failed++
+			case results[i].Digest == 0 || served != 0 && results[i].Digest != served:
+				t.Errorf("key %d caller %d: served digest %v, others %v", k, i, results[i].Digest, served)
+			default:
+				served = results[i].Digest
+			}
+		}
+		// Each failed simulation reaches exactly its own leader.
+		if want := runs - successes; failed != want {
+			t.Errorf("key %d: %d callers saw a failure, want %d (one per failed simulation)", k, failed, want)
+		}
+	}
+
+	st := MemoStats()
+	if st.Entries != succeeded {
+		t.Errorf("memo entries = %d, want %d (one per key that succeeded)", st.Entries, succeeded)
+	}
+	if st.Disk.Stored != uint64(succeeded) {
+		t.Errorf("disk stored = %d, want %d", st.Disk.Stored, succeeded)
+	}
+	cells.mu.Lock()
+	inFlight := cells.inFlight
+	for key, c := range cells.m {
+		if c.done != nil {
+			t.Errorf("cell %s left in flight", key.workload)
+		}
+	}
+	cells.mu.Unlock()
+	if inFlight != 0 {
+		t.Errorf("in-flight count = %d, want 0", inFlight)
+	}
+
+	// A fresh memo over the warm disk: one verified disk read per key
+	// serves the whole herd, and nothing simulates successfully again.
+	ResetMemo()
+	before := disk.Stats().Hits
+	herd(n, func(i int) { ExecuteSafe(spec(i / perKey)) })
+	if hits := disk.Stats().Hits - before; hits != uint64(succeeded) {
+		t.Errorf("warm herd disk hits = %d, want %d (one per completed key)", hits, succeeded)
+	}
+	for k, p := range probes {
+		if s := p.st.successes.Load(); s > 1 {
+			t.Errorf("key %d: %d successful simulations after the warm herd, want at most 1", k, s)
+		}
+	}
+	if st := MemoStats(); st.Entries != succeeded {
+		t.Errorf("warm memo entries = %d, want %d", st.Entries, succeeded)
 	}
 }

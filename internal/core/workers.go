@@ -59,7 +59,7 @@ func DefaultWorkers() int {
 // still size themselves from DefaultWorkers for goroutine economy, but
 // it is the slots that make the bound hold in aggregate across
 // concurrent pools. Only the *leaf* simulation acquires a slot — never
-// a pool worker for its lifetime, and never a cell-singleflight waiter
+// a pool worker for its lifetime, and never a cell-table waiter
 // while it waits — so slot holders always make progress and release
 // (no acquire ever happens while a slot is already held). Slots gate
 // host scheduling only, never results: a simulation waiting for a slot

@@ -182,17 +182,19 @@ func EventHash(e trace.Event) uint64 {
 
 // Bytes folds a raw byte slice (length-prefixed). Exposed for the
 // journal's line checksums.
-func (h *Hasher) Bytes(b []byte) {
-	x := fold64(h.h, uint64(int64(len(b))))
+func (h *Hasher) Bytes(b []byte) { h.h = foldBytes(h.h, b) }
+
+// OfBytes returns the digest of one byte slice — New().Bytes(b).Sum(),
+// folded without a Hasher so cache-key derivation (resultcache.KeyOf)
+// writes through no pointer and passes the purity audit.
+func OfBytes(b []byte) Digest { return Digest(foldBytes(offset64, b)) }
+
+// foldBytes folds b, length-prefixed, into x and returns the evolved
+// accumulator.
+func foldBytes(x uint64, b []byte) uint64 {
+	x = fold64(x, uint64(int64(len(b))))
 	for _, c := range b {
 		x = (x ^ uint64(c)) * prime64
 	}
-	h.h = x
-}
-
-// OfBytes returns the digest of one byte slice.
-func OfBytes(b []byte) Digest {
-	h := New()
-	h.Bytes(b)
-	return h.Sum()
+	return x
 }

@@ -7,14 +7,14 @@ package server
 // defaulting — never the deadline, which is per-waiter). Concurrent
 // identical requests join the same flight: the first arrival enqueues
 // it, later ones only wait. This is the server-level layer of the
-// coalescing stack — below it, core deduplicates individual cells
-// across flights (memo + cell singleflight), so even *different*
-// sweeps sharing cells don't recompute them.
+// coalescing stack — below it, core's cell table deduplicates
+// individual cells across flights, completed and in flight alike, so
+// even *different* sweeps sharing cells don't recompute them.
 //
 // Waiters are refcounted. A waiter that hits its deadline (or whose
 // client disconnects) leaves the flight; the last waiter to leave
 // cooperatively cancels the execution — nobody wants the result, and
-// core's memo already holds every completed cell, so an identical
+// core's cell table already holds every completed cell, so an identical
 // later request re-simulates only what was left. Drain's hard stop
 // cancels every remaining flight the same way.
 

@@ -281,7 +281,7 @@ func (s *Server) StatsSnapshot() Stats {
 	st.Memo.Entries, st.Memo.Hits, st.Memo.Misses = ms.Entries, ms.Hits, ms.Misses
 	st.Cache.Hits, st.Cache.Misses, st.Cache.Refused = ms.Disk.Hits, ms.Disk.Misses, ms.Disk.Refused
 	st.Cache.Stored, st.Cache.StoreErrors, st.Cache.Evicted = ms.Disk.Stored, ms.Disk.StoreErrors, ms.Disk.Evicted
-	st.Flight.Led, st.Flight.Coalesced = core.FlightStats()
+	st.Flight.Led, st.Flight.Coalesced = ms.Led, ms.Coalesced
 	st.Shard.Retried, st.Shard.ResumedShards = shard.Stats()
 	return st
 }
