@@ -11,6 +11,7 @@
 #   make test-shard   # shard-supervision chaos matrix, SIGKILLed workers (DESIGN.md §11)
 #   make test-cache   # result-cache corruption matrix, every byte and bit (DESIGN.md §12)
 #   make serve-smoke  # asmp-serve end-to-end: coalesce, drain, cache-warm restart (DESIGN.md §10)
+#   make fuzz         # fuzz the journal line decoder for FUZZTIME (default 10s)
 #   make bench        # one pass over every figure/ablation benchmark
 #   make bench-hot    # the engine hot-path benchmarks (see BENCH_4.json)
 #   make bench-cache  # cold- vs warm-cache execution benchmarks (see BENCH_9.json)
@@ -19,7 +20,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint lint-fix test test-race test-crash test-shard test-cache serve-smoke bench bench-hot bench-cache bench-policies golden
+.PHONY: check vet lint lint-fix test test-race test-crash test-shard test-cache serve-smoke fuzz bench bench-hot bench-cache bench-policies golden
 
 check: vet lint test
 
@@ -57,15 +58,18 @@ test-crash:
 	ASMP_CRASH_FULL=1 $(GO) test -v -run 'TestCrashMatrix|TestInjectedResume|TestTornNewline' ./internal/core ./internal/journal
 
 # The shard-supervision chaos matrix (DESIGN.md §11): real worker
-# processes SIGKILL themselves at a widened sweep of byte offsets (or
-# suffer injected sink faults), and every interleaving must either
-# converge to a merged journal byte-identical to the unsharded run or
-# degrade to typed ERR cells naming the dead shard — under the race
-# detector, since supervision is concurrent. The regular suite runs the
-# sampled version of the same property. Set ASMP_CRASH_ARTIFACT_DIR to
-# keep the counterexample journals when the property breaks.
+# processes SIGKILL themselves at a widened sweep of byte offsets of
+# their record stream (or suffer injected sink faults), and every
+# interleaving must either converge to a journal byte-identical to the
+# unsharded run or degrade to typed ERR cells naming the dead shard —
+# under the race detector, since supervision is concurrent. Alongside
+# run the supervisor's unit tests (refused stream records, respawn
+# ranges, sharded resume) and every sharded-CLI test, torn-prefix
+# resumes included. The regular suite runs the sampled version of the
+# same property. Set ASMP_CRASH_ARTIFACT_DIR to keep the counterexample
+# journal when the property breaks.
 test-shard:
-	ASMP_SHARD_CHAOS_FULL=1 $(GO) test -race -v -run 'TestChaos|TestSupervise|TestSharded|TestRetryBudget' ./internal/shard ./cmd/asmp-sweep
+	ASMP_SHARD_CHAOS_FULL=1 $(GO) test -race -v -run 'TestChaos|TestSupervise|TestShard|TestRetryBudget|TestExecRunner|TestPartition' ./internal/shard ./cmd/asmp-sweep
 
 # The result-cache corruption matrix (DESIGN.md §12): every byte-prefix
 # truncation and every single-bit flip of a cache entry must either be
@@ -90,6 +94,15 @@ test-cache:
 # /stats, identical bytes on a repeat) (DESIGN.md §10).
 serve-smoke:
 	$(GO) test -v -run TestServeSmoke ./cmd/asmp-serve
+
+# Fuzz the journal line decoder (internal/journal FuzzParseLine), which
+# reads journal files and the record streams shard workers send their
+# supervisor. Seeded from results/sample-run.jsonl and the reader's
+# test shapes; a crasher lands in internal/journal/testdata/fuzz and
+# then runs with every `go test`.
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzParseLine -fuzztime $(FUZZTIME) ./internal/journal
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -benchmem .

@@ -1,11 +1,10 @@
 package main
 
 // CLI tests for the disk result cache (-cache-dir / -no-cache): the
-// byte-identical proof of ISSUE 9 — cold cache, warm cache and
-// -no-cache produce the same report bytes, and a sharded sweep over a
-// warm cache merges byte-identical to the unsharded reference journal
-// while its workers (separate processes) hit entries this process
-// published.
+// byte-identical proof — cold cache, warm cache and -no-cache produce
+// the same report bytes, and a sharded sweep over a warm cache writes a
+// journal byte-identical to the unsharded reference while its workers
+// (separate processes) hit entries this process published.
 
 import (
 	"os"
@@ -132,7 +131,7 @@ func TestShardedSweepOverWarmCacheByteIdentical(t *testing.T) {
 	cacheDir := filepath.Join(dir, "cache")
 
 	// Unsharded reference report and journal (sequential journal order
-	// is the canonical order the merge emits).
+	// is the grid order the supervisor appends in).
 	code, want, _ := runCmd(shard3x3Args()...)
 	if code != 0 {
 		t.Fatalf("reference exit = %d", code)
@@ -178,7 +177,7 @@ func TestShardedSweepOverWarmCacheByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(raw) != string(refRaw) {
-		t.Error("sharded warm-cache merged journal differs from the unsharded reference")
+		t.Error("sharded warm-cache journal differs from the unsharded reference")
 	}
 	// The workers only read: no new cells were published over the warm
 	// set (same grid, same identities).

@@ -94,9 +94,9 @@ func runWith(args []string, stdout, stderr io.Writer, cancel <-chan struct{}) (c
 		return 2
 	}
 	// -shardworker index/of:lo-hi is the other hidden flag: it puts the
-	// process in shard-worker mode — execute and journal one slice of
-	// the cell grid, print no report. Only the -shards supervisor spawns
-	// it (see internal/shard.ExecRunner).
+	// process in shard-worker mode — execute one slice of the cell grid
+	// and stream its records to stdout instead of a report. Only the
+	// -shards supervisor spawns it (see internal/shard.ExecRunner).
 	args, workerRange, isWorker, serr := shard.ExtractWorker(args)
 	if serr != nil {
 		fmt.Fprintln(stderr, "asmp-sweep:", serr)
@@ -117,7 +117,7 @@ func runWith(args []string, stdout, stderr io.Writer, cancel <-chan struct{}) (c
 		retries  = fs.Int("retries", 0, "retry each failed run up to N times with a fresh derived seed")
 		journalP = fs.String("journal", "", "append every completed cell to this JSONL journal (enables -resume)")
 		resume   = fs.Bool("resume", false, "resume the sweep recorded in -journal, re-executing only missing or failed cells")
-		shards   = fs.Int("shards", 0, "partition the sweep across N worker processes with per-shard journals, supervised respawn and a byte-identical merge into -journal (requires -journal; rerunning the same command resumes)")
+		shards   = fs.Int("shards", 0, "run the sweep's cells on N supervised worker processes that stream their records into -journal, byte-identical to an unsharded -workers 1 journal (requires -journal; combines with -resume)")
 		shardRet = fs.Int("shardretries", 2, "respawn budget per shard before its cells degrade to ERR (with -shards)")
 		verify   = fs.Int("verify", 0, "audit determinism instead of sweeping: run each cell N times (min 2) and require bit-identical digests")
 		workers  = fs.Int("workers", 0, "host worker-pool size for cell execution: 0 = GOMAXPROCS, 1 = sequential (results are identical either way)")
@@ -251,16 +251,12 @@ func runWith(args []string, stdout, stderr io.Writer, cancel <-chan struct{}) (c
 		fmt.Fprintln(stderr, "asmp-sweep: -shards and -shardretries must be non-negative")
 		return 2
 	}
-	if (*shards > 0 || isWorker) && *journalP == "" {
-		fmt.Fprintln(stderr, "asmp-sweep: -shards requires -journal (the merged journal path)")
+	if *shards > 0 && *journalP == "" {
+		fmt.Fprintln(stderr, "asmp-sweep: -shards requires -journal (the journal the workers' records are appended to)")
 		return 2
 	}
 	if *shards > 0 && isWorker {
 		fmt.Fprintln(stderr, "asmp-sweep: a shard worker cannot itself be a supervisor")
-		return 2
-	}
-	if *shards > 0 && *resume {
-		fmt.Fprintln(stderr, "asmp-sweep: -resume does not combine with -shards; rerunning the same -shards command resumes automatically from the committed manifest")
 		return 2
 	}
 	var wrap journal.WrapSink
@@ -293,41 +289,19 @@ func runWith(args []string, stdout, stderr io.Writer, cancel <-chan struct{}) (c
 		return runVerify(exp, *verify, stdout, stderr)
 	}
 	if isWorker {
-		return runWorker(exp, workerRange, *journalP, *resume, wrap, stderr)
+		resumeFrom := ""
+		if *resume {
+			resumeFrom = *journalP
+		}
+		return runWorker(exp, workerRange, resumeFrom, wrap, stdout, stderr)
 	}
 
-	var out *core.Outcome
+	var log *journal.Log
 	var jw *journal.Writer
 	switch {
-	case *shards > 0:
-		// Re-exec this binary per shard with the sweep's own identity
-		// flags; -journal/-resume/-shardworker are appended per spawn.
-		workerArgs := []string{
-			"-workload", *name,
-			"-runs", fmt.Sprint(*runs),
-			"-policy", *policy,
-			"-seed", fmt.Sprint(*seed),
-			"-retries", fmt.Sprint(*retries),
-		}
-		if *configs != "" {
-			workerArgs = append(workerArgs, "-configs", *configs)
-		}
-		if *faultStr != "" {
-			workerArgs = append(workerArgs, "-fault", *faultStr)
-		}
-		if *timeout != "" {
-			workerArgs = append(workerArgs, "-timeout", *timeout)
-		}
-		if *workers != 0 {
-			workerArgs = append(workerArgs, "-workers", fmt.Sprint(*workers))
-		}
-		var failed int
-		out, failed = runSharded(exp, *shards, *shardRet, *journalP, workerArgs, wrap, stderr, cancel)
-		if out == nil {
-			return failed
-		}
 	case *journalP != "" && *resume:
-		log, w2, err := journal.ResumeVia(*journalP, wrap)
+		var err error
+		log, jw, err = journal.ResumeVia(*journalP, wrap)
 		if err != nil {
 			var de *journal.DamagedError
 			if errors.As(err, &de) {
@@ -348,8 +322,54 @@ func runWith(args []string, stdout, stderr io.Writer, cancel <-chan struct{}) (c
 		if log.Dropped > 0 {
 			fmt.Fprintf(stderr, "asmp-sweep: journal had a corrupt tail (%d line(s), the interrupted write); truncated\n", log.Dropped)
 		}
-		jw = w2
-		exp.Journal = jw
+	case *journalP != "":
+		var err error
+		jw, err = journal.CreateVia(*journalP, wrap)
+		if err != nil {
+			fmt.Fprintln(stderr, "asmp-sweep:", err)
+			return 2
+		}
+	}
+	exp.Journal = jw
+
+	var out *core.Outcome
+	switch {
+	case *shards > 0:
+		// Re-exec this binary per shard with the sweep's own identity
+		// flags; -shardworker is appended per spawn, and a resuming
+		// worker reads the journal to skip the cells it already holds.
+		workerArgs := []string{
+			"-workload", *name,
+			"-runs", fmt.Sprint(*runs),
+			"-policy", *policy,
+			"-seed", fmt.Sprint(*seed),
+			"-retries", fmt.Sprint(*retries),
+		}
+		if *configs != "" {
+			workerArgs = append(workerArgs, "-configs", *configs)
+		}
+		if *faultStr != "" {
+			workerArgs = append(workerArgs, "-fault", *faultStr)
+		}
+		if *timeout != "" {
+			workerArgs = append(workerArgs, "-timeout", *timeout)
+		}
+		if *workers != 0 {
+			workerArgs = append(workerArgs, "-workers", fmt.Sprint(*workers))
+		}
+		if log != nil {
+			workerArgs = append(workerArgs, "-journal", *journalP, "-resume")
+		}
+		var failed int
+		out, failed = runSharded(exp, log, *shards, *shardRet, workerArgs, stderr, cancel)
+		if out == nil {
+			if cerr := jw.Close(); cerr != nil {
+				fmt.Fprintln(stderr, "asmp-sweep:", cerr)
+			}
+			return failed
+		}
+	case log != nil:
+		var err error
 		out, err = exp.Resume(log)
 		if err != nil {
 			if cerr := jw.Close(); cerr != nil {
@@ -358,15 +378,6 @@ func runWith(args []string, stdout, stderr io.Writer, cancel <-chan struct{}) (c
 			fmt.Fprintln(stderr, "asmp-sweep:", err)
 			return 2
 		}
-	case *journalP != "":
-		var err error
-		jw, err = journal.CreateVia(*journalP, wrap)
-		if err != nil {
-			fmt.Fprintln(stderr, "asmp-sweep:", err)
-			return 2
-		}
-		exp.Journal = jw
-		out = exp.Run()
 	default:
 		out = exp.Run()
 	}

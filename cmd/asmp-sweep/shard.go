@@ -1,10 +1,11 @@
 package main
 
-// Sharded sweeps: -shards N partitions the cell grid across worker
-// processes (re-execs of this binary in the hidden -shardworker mode),
-// supervises them with respawn-on-crash, and merges the per-shard
-// journals into the canonical journal at -journal — byte-identical to
-// the one an unsharded run writes.
+// Sharded sweeps: -shards N splits the cells to run across worker
+// processes (re-execs of this binary in the hidden -shardworker mode)
+// that stream their records over stdout; the supervisor respawns
+// crashed workers and appends every record to the one -journal, which
+// ends up byte-identical to the journal an unsharded -workers 1 run
+// writes.
 
 import (
 	"errors"
@@ -17,23 +18,11 @@ import (
 	"asmp/internal/shard"
 )
 
-// Worker exit codes, beyond the usual 0/1/2: the supervisor only
-// distinguishes zero from non-zero, but distinct codes make a dead
-// worker's last breath diagnosable from the shell.
-const (
-	// exitRefused: the shard journal was refused (damaged or recording a
-	// different sweep/shard). The supervisor sets it aside and respawns.
-	exitRefused = 2
-	// exitIncomplete: the sweep ran but the journal cannot be trusted to
-	// hold every cell (an append or close failed).
-	exitIncomplete = 3
-)
-
 // runWorker is the hidden -shardworker mode: execute one shard of the
-// sweep and journal it, nothing else. No report is printed — the
-// supervisor reads the journal, not the worker's stdout.
-func runWorker(exp core.Experiment, r core.ShardRange, journalPath string, resume bool, wrap journal.WrapSink, stderr io.Writer) int {
-	err := shard.Worker(exp, r, journalPath, resume, wrap)
+// sweep and stream its records to stdout, nothing else. With -resume
+// it reads -journal to skip the cells already recorded there.
+func runWorker(exp core.Experiment, r core.ShardRange, resumeFrom string, wrap journal.WrapSink, stdout, stderr io.Writer) int {
+	err := shard.Worker(exp, r, resumeFrom, stdout, wrap)
 	// Each worker reports its own disk-cache counters; the supervisor
 	// forwards the line, so a sharded sweep's stderr shows exactly which
 	// shards were served cross-process hits (BENCH_9.json records this).
@@ -42,68 +31,42 @@ func runWorker(exp core.Experiment, r core.ShardRange, journalPath string, resum
 		return 0
 	}
 	fmt.Fprintln(stderr, "asmp-sweep:", err)
-	switch {
-	case errors.Is(err, core.ErrCancelled):
+	if errors.Is(err, core.ErrCancelled) {
 		return exitCancelled
-	case errors.As(err, new(*journal.DamagedError)), errors.As(err, new(*core.ResumeRefusedError)):
-		return exitRefused
-	case errors.As(err, new(*shard.IncompleteError)):
-		return exitIncomplete
 	}
 	return 1
 }
 
-// runSharded is the supervisor: recover (or commit) the partition
-// plan, run every shard to completion through re-exec'd workers, merge
-// the shard journals, and replay the merged journal into the Outcome
-// the shared report tail renders. It returns (nil, code) when the
-// sweep cannot produce an outcome (refusal, cancellation, merge
-// failure) and (out, 0) on success — per-cell failures live inside
+// runSharded is the supervisor: run the sweep's pending cells (all of
+// them, or with log set the ones the resumed journal lacks) through
+// re-exec'd workers, appending their records to exp.Journal, and
+// return the Outcome the shared report tail renders. It returns
+// (nil, code) when the sweep cannot produce an outcome (refusal or
+// cancellation) and (out, 0) otherwise — per-cell failures live inside
 // out, exactly as in an unsharded sweep.
-func runSharded(exp core.Experiment, shards, retries int, journalPath string, workerArgs []string, wrap journal.WrapSink, stderr io.Writer, cancel <-chan struct{}) (*core.Outcome, int) {
+func runSharded(exp core.Experiment, log *journal.Log, shards, retries int, workerArgs []string, stderr io.Writer, cancel <-chan struct{}) (*core.Outcome, int) {
 	// One lock in front of stderr: the supervisor goroutines' log lines
 	// and the workers' forwarded stderr streams interleave by line.
 	stderr = shard.SyncWriter(stderr)
-	logf := func(format string, args ...any) {
-		fmt.Fprintf(stderr, "asmp-sweep: "+format+"\n", args...)
-	}
-	plan, adopted, err := shard.Recover(exp, shards, journalPath, wrap, logf)
-	if err != nil {
-		fmt.Fprintln(stderr, "asmp-sweep:", err)
-		return nil, 2
-	}
-	if adopted {
-		logf("resuming the %d-shard plan committed in %s", len(plan.Specs), plan.ManifestPath)
-	}
 	bin, err := os.Executable()
 	if err != nil {
 		fmt.Fprintln(stderr, "asmp-sweep:", err)
 		return nil, 1
 	}
-	outcomes := shard.Supervise(shard.Options{
-		Plan:    plan,
+	out, _, err := shard.Supervise(exp, log, shards, shard.Options{
 		Run:     shard.ExecRunner(bin, workerArgs, stderr),
 		Retries: retries,
 		Cancel:  cancel,
-		Logf:    logf,
+		Logf: func(format string, args ...any) {
+			fmt.Fprintf(stderr, "asmp-sweep: "+format+"\n", args...)
+		},
 	})
-	for _, o := range outcomes {
-		if o.Err != nil && errors.Is(o.Err, core.ErrCancelled) {
-			fmt.Fprintln(stderr, "asmp-sweep: interrupted: shard supervision cancelled")
-			fmt.Fprintf(stderr, "asmp-sweep: rerun the same command to resume the sharded sweep from %s\n", plan.ManifestPath)
-			return nil, exitCancelled
-		}
-		for _, aside := range o.SetAside {
-			logf("shard %s: damaged journal set aside to %s", o.Spec.Range, aside)
-		}
-	}
-	log, err := shard.Merge(exp, plan, outcomes, wrap)
-	if err != nil {
-		fmt.Fprintln(stderr, "asmp-sweep:", err)
-		return nil, 2
-	}
-	out, err := exp.Replay(log)
-	if err != nil {
+	switch {
+	case errors.Is(err, core.ErrCancelled):
+		fmt.Fprintln(stderr, "asmp-sweep: interrupted: shard supervision cancelled")
+		fmt.Fprintf(stderr, "asmp-sweep: rerun with -journal %s -resume to complete the sweep\n", exp.Journal.Path())
+		return nil, exitCancelled
+	case err != nil:
 		fmt.Fprintln(stderr, "asmp-sweep:", err)
 		return nil, 2
 	}

@@ -1,10 +1,11 @@
 package main
 
 // CLI tests for sharded sweeps (-shards) and the resume/damage
-// satellites: the merge proof (shard counts 1, 2 and 4 produce a
-// report and journal byte-identical to the unsharded run), flag
-// validation, the hidden worker mode, the damaged-resume operator
-// message, and -crashat under a parallel worker pool.
+// satellites: shard counts 1, 2 and 4 produce a report and journal
+// byte-identical to the unsharded run, a sharded -resume of a torn
+// journal appends what a sequential one does, flag validation, the
+// hidden worker mode, the damaged-resume operator message, and
+// -crashat under a parallel worker pool.
 
 import (
 	"fmt"
@@ -41,7 +42,7 @@ func TestShardedSweepByteIdenticalAcrossShardCounts(t *testing.T) {
 		t.Fatalf("reference sweep exit = %d", code)
 	}
 	// The journal reference runs sequentially so its record order is the
-	// canonical flattened order the merge emits.
+	// flattened grid order the supervisor appends in.
 	refJ := filepath.Join(dir, "ref.jsonl")
 	if code, _, errOut := runCmd(shard3x3Args("-journal", refJ, "-workers", "1")...); code != 0 {
 		t.Fatalf("reference journal sweep exit = %d: %s", code, errOut)
@@ -52,7 +53,11 @@ func TestShardedSweepByteIdenticalAcrossShardCounts(t *testing.T) {
 	}
 
 	for _, k := range []int{1, 2, 4} {
-		j := filepath.Join(dir, fmt.Sprintf("run-%d.jsonl", k))
+		sub := filepath.Join(dir, fmt.Sprint(k))
+		if err := os.Mkdir(sub, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		j := filepath.Join(sub, "run.jsonl")
 		code, got, errOut := runCmd(shard3x3Args("-journal", j, "-shards", fmt.Sprint(k))...)
 		if code != 0 {
 			t.Fatalf("-shards %d exit = %d: %s", k, code, errOut)
@@ -65,9 +70,13 @@ func TestShardedSweepByteIdenticalAcrossShardCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		if string(raw) != string(refRaw) {
-			t.Errorf("-shards %d merged journal differs from the unsharded journal", k)
+			t.Errorf("-shards %d journal differs from the unsharded journal", k)
 		}
-		// The run digests came through the shard journals unchanged.
+		// The sweep leaves its one journal and nothing else.
+		if files, err := os.ReadDir(sub); err != nil || len(files) != 1 {
+			t.Errorf("-shards %d left %v (err %v), want only run.jsonl", k, files, err)
+		}
+		// The run digests came through the worker streams unchanged.
 		log, err := journal.Read(j)
 		if err != nil {
 			t.Fatal(err)
@@ -83,14 +92,14 @@ func TestShardedSweepByteIdenticalAcrossShardCounts(t *testing.T) {
 		}
 	}
 
-	// A plain -resume of the merged journal is indistinguishable from
+	// A plain -resume of the sharded journal is indistinguishable from
 	// resuming an unsharded one: nothing re-executes, the report matches.
-	code, resumed, errOut := runCmd(shard3x3Args("-journal", filepath.Join(dir, "run-2.jsonl"), "-resume")...)
+	code, resumed, errOut := runCmd(shard3x3Args("-journal", filepath.Join(dir, "2", "run.jsonl"), "-resume")...)
 	if code != 0 {
-		t.Fatalf("resume of merged journal exit = %d: %s", code, errOut)
+		t.Fatalf("resume of sharded journal exit = %d: %s", code, errOut)
 	}
 	if resumed != want {
-		t.Error("resume of the merged journal differs from the unsharded report")
+		t.Error("resume of the sharded journal differs from the unsharded report")
 	}
 }
 
@@ -110,31 +119,6 @@ func TestShardedSweepCSVByteIdentical(t *testing.T) {
 	}
 }
 
-func TestShardedRestartAdoptsManifestAndSkipsCompleteShards(t *testing.T) {
-	dir := t.TempDir()
-	j := filepath.Join(dir, "run.jsonl")
-	code, want, _ := runCmd(shard3x3Args()...)
-	if code != 0 {
-		t.Fatalf("reference exit = %d", code)
-	}
-	if code, _, errOut := runCmd(shard3x3Args("-journal", j, "-shards", "2")...); code != 0 {
-		t.Fatalf("first sharded run exit = %d: %s", code, errOut)
-	}
-	// Rerun with a different -shards count: the committed 2-shard plan
-	// wins, complete shard journals are not re-executed, and the report
-	// still matches.
-	code, got, errOut := runCmd(shard3x3Args("-journal", j, "-shards", "4")...)
-	if code != 0 {
-		t.Fatalf("restart exit = %d: %s", code, errOut)
-	}
-	if !strings.Contains(errOut, "ignoring -shards 4") {
-		t.Errorf("manifest adoption not reported: %s", errOut)
-	}
-	if got != want {
-		t.Error("restarted sharded sweep report differs")
-	}
-}
-
 func TestShardsFlagValidation(t *testing.T) {
 	if code, _, errOut := runCmd(sweepArgs("-shards", "2")...); code != 2 ||
 		!strings.Contains(errOut, "-shards requires -journal") {
@@ -147,13 +131,6 @@ func TestShardsFlagValidation(t *testing.T) {
 	if code, _, errOut := runCmd(sweepArgs("-verify", "2", "-shards", "2", "-journal", "x")...); code != 2 ||
 		!strings.Contains(errOut, "-verify is an audit") {
 		t.Errorf("verify+shards: exit = %d, stderr = %s", code, errOut)
-	}
-	// -resume is implicit in sharded mode (the manifest resumes the
-	// sweep); passing the flag would silently do nothing, so it is
-	// rejected with the explanation instead.
-	if code, _, errOut := runCmd(sweepArgs("-shards", "2", "-journal", "x", "-resume")...); code != 2 ||
-		!strings.Contains(errOut, "-resume does not combine with -shards") {
-		t.Errorf("shards+resume: exit = %d, stderr = %s", code, errOut)
 	}
 }
 
@@ -276,26 +253,79 @@ func TestCrashAtWithParallelWorkers(t *testing.T) {
 	}
 }
 
-// TestShardedCrashAtManifestConverges: -crashat with -shards applies
-// the tear to the supervisor's own writes (manifest, merged journal).
-// A torn manifest commit is refused; the rerun sets the remnant aside,
-// recommits and converges byte-identically.
-func TestShardedCrashAtManifestConverges(t *testing.T) {
+// TestShardedResumeFromTornPrefixes: -crashat under -shards tears the
+// supervisor's one journal, leaving exactly a prefix of the reference
+// journal while the report stays whole. -shards k -resume of that
+// prefix, for k other than the torn run's as well, must append the
+// bytes -workers 1 -resume appends and end at the reference journal; a
+// prefix torn inside the header is refused by both alike, and a bare
+// rerun starts fresh.
+func TestShardedResumeFromTornPrefixes(t *testing.T) {
 	dir := t.TempDir()
 	code, want, _ := runCmd(shard3x3Args()...)
 	if code != 0 {
 		t.Fatalf("reference exit = %d", code)
 	}
-	j := filepath.Join(dir, "run.jsonl")
-	code, _, errOut := runCmd(shard3x3Args("-journal", j, "-shards", "2", "-crashat", "10")...)
-	if code == 0 {
-		t.Fatalf("sharded sweep with manifest torn at byte 10 succeeded:\n%s", errOut)
+	refJ := filepath.Join(dir, "ref.jsonl")
+	if code, _, errOut := runCmd(shard3x3Args("-journal", refJ, "-workers", "1")...); code != 0 {
+		t.Fatalf("reference journal exit = %d: %s", code, errOut)
 	}
-	code, got, errOut := runCmd(shard3x3Args("-journal", j, "-shards", "2")...)
-	if code != 0 {
-		t.Fatalf("rerun after torn manifest exit = %d: %s", code, errOut)
+	ref, err := os.ReadFile(refJ)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got != want {
-		t.Error("rerun after torn manifest differs from the unsharded report")
+	header := strings.Index(string(ref), "\n") + 1
+
+	for _, tear := range []int{10, header + 1, len(ref) / 2, len(ref) - 1} {
+		torn := filepath.Join(dir, fmt.Sprintf("torn-%d.jsonl", tear))
+		code, got, errOut := runCmd(shard3x3Args("-journal", torn, "-shards", "2", "-crashat", fmt.Sprint(tear))...)
+		if code != 0 || got != want || !strings.Contains(errOut, "journal incomplete") {
+			t.Fatalf("tear at %d: exit = %d, report intact = %v, stderr:\n%s", tear, code, got == want, errOut)
+		}
+		prefix, err := os.ReadFile(torn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(prefix) != string(ref[:tear]) {
+			t.Fatalf("tear at %d: the torn journal is not the reference's prefix", tear)
+		}
+
+		resume := func(label string, extra ...string) (int, string) {
+			j := filepath.Join(dir, fmt.Sprintf("%s-%d.jsonl", label, tear))
+			if err := os.WriteFile(j, prefix, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			code, got, errOut := runCmd(shard3x3Args(append([]string{"-journal", j, "-resume"}, extra...)...)...)
+			raw, err := os.ReadFile(j)
+			if code == 0 && (err != nil || got != want) {
+				t.Errorf("tear at %d, %s: report intact = %v (err %v)", tear, label, got == want, err)
+			}
+			if code != 0 && code != 2 {
+				t.Errorf("tear at %d, %s: exit = %d: %s", tear, label, code, errOut)
+			}
+			return code, string(raw)
+		}
+		seqCode, seq := resume("seq", "-workers", "1")
+		for _, k := range []int{1, 2, 3} {
+			code, got := resume(fmt.Sprintf("shards%d", k), "-shards", fmt.Sprint(k))
+			if code != seqCode || got != seq {
+				t.Errorf("tear at %d: -shards %d -resume (exit %d) differs from -workers 1 -resume (exit %d)", tear, k, code, seqCode)
+			}
+		}
+		if tear < header {
+			if seqCode != 2 {
+				t.Errorf("tear at %d inside the header: resume exit = %d, want 2 (refused)", tear, seqCode)
+			}
+			if code, got, errOut := runCmd(shard3x3Args("-journal", torn, "-shards", "2")...); code != 0 || got != want {
+				t.Errorf("bare rerun after a torn header: exit = %d: %s", code, errOut)
+			}
+			if raw, err := os.ReadFile(torn); err != nil || string(raw) != string(ref) {
+				t.Errorf("bare rerun after a torn header: journal equals the reference = %v (err %v)", string(raw) == string(ref), err)
+			}
+			continue
+		}
+		if seqCode != 0 || seq != string(ref) {
+			t.Errorf("tear at %d: resume exit = %d, journal equals the reference = %v", tear, seqCode, seq == string(ref))
+		}
 	}
 }

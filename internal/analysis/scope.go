@@ -36,8 +36,9 @@ var harnessPackages = map[string]string{
 	// response body is a pure function of the request identity.
 	"asmp/internal/server": "serving goroutines are harness, not simulation",
 	// The shard supervisor monitors child processes; goroutines carry
-	// worker lifecycles, never simulation state, and the merged journal
-	// is a pure function of the partition plan and the cell seeds.
+	// worker lifecycles, never simulation state, and the journal it
+	// appends holds records in grid order, a pure function of the cell
+	// seeds.
 	"asmp/internal/shard": "supervision goroutines are harness, not simulation",
 	// The disk result cache is shared mutable state between harness
 	// goroutines and processes; its counters and GC are concurrent

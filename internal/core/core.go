@@ -204,7 +204,7 @@ func RetrySeed(base uint64, configIdx, runIdx, attempt int) uint64 {
 
 // ShardRange assigns one shard worker a contiguous slice of a sweep's
 // flattened cell grid (index = cfg*runs + run, row-major). It is the
-// worker side of sharded sweeps: internal/shard plans the partition,
+// worker side of sharded sweeps: internal/shard partitions the grid,
 // and an Experiment with Shard set executes and journals only the
 // cells in [Lo, Hi).
 type ShardRange struct {
@@ -296,9 +296,7 @@ type Experiment struct {
 	// Shard, when non-nil, restricts execution and journaling to the
 	// flattened cell range [Shard.Lo, Shard.Hi) — the worker side of
 	// sharded sweeps (internal/shard). Cells outside the range are
-	// recorded as ErrNotInShard in the Outcome and never journaled, and
-	// the journal header carries the range so a shard journal is never
-	// mistaken for a full sweep's.
+	// recorded as ErrNotInShard in the Outcome and never journaled.
 	Shard *ShardRange
 }
 

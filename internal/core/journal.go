@@ -36,11 +36,6 @@ func (e Experiment) journalHeader(configs []cpu.Config, runs int, base uint64) j
 	if !e.Fault.Empty() {
 		h.Fault = e.Fault.String()
 	}
-	if e.Shard != nil {
-		// A shard journal declares its range so it can never be mistaken
-		// for (or resumed as) the full sweep's journal.
-		h.Shard = e.Shard.String()
-	}
 	return h
 }
 
@@ -52,7 +47,7 @@ func (e Experiment) Grid() (configs []cpu.Config, runs int, base uint64) {
 }
 
 // JournalHeader returns the identity header this experiment writes to
-// a fresh journal, including the shard range when Shard is set.
+// a fresh journal.
 func (e Experiment) JournalHeader() journal.Header {
 	return e.journalHeader(e.normalized())
 }
@@ -114,11 +109,40 @@ func refuse(path, format string, args ...any) error {
 // records are appended through e.Journal as usual (pass the Writer that
 // journal.Resume returned).
 func (e Experiment) Resume(log *journal.Log) (*Outcome, error) {
+	seeded, err := e.seeded(log)
+	if err != nil {
+		return nil, err
+	}
+	return e.run(seeded, false), nil
+}
+
+// Pending validates log against this experiment and returns the
+// flattened indices (cfg*runs + run, ascending) of the cells Resume
+// would execute: those the journal holds no successful last record for.
+// A sharded resume (internal/shard) splits exactly these across its
+// workers.
+func (e Experiment) Pending(log *journal.Log) ([]int, error) {
+	seeded, err := e.seeded(log)
+	if err != nil {
+		return nil, err
+	}
+	configs, runs, _ := e.normalized()
+	var pending []int
+	for idx := 0; idx < len(configs)*runs; idx++ {
+		if _, ok := seeded[cellKey{idx / runs, idx % runs}]; !ok {
+			pending = append(pending, idx)
+		}
+	}
+	return pending, nil
+}
+
+// seeded validates log and returns the results Resume carries over:
+// each cell's last record, when that record is a success.
+func (e Experiment) seeded(log *journal.Log) (map[cellKey]workload.Result, error) {
 	if e.Workload == nil {
 		panic("core: experiment without workload")
 	}
-	configs, runs, base := e.normalized()
-	if err := e.validateJournal(log, configs, runs, base); err != nil {
+	if err := e.validateJournal(log); err != nil {
 		return nil, err
 	}
 	seeded := make(map[cellKey]workload.Result, len(log.Cells))
@@ -148,19 +172,32 @@ func (e Experiment) Resume(log *journal.Log) (*Outcome, error) {
 			Digest: d,
 		}
 	}
-	return e.run(seeded, false), nil
+	return seeded, nil
 }
 
 // validateJournal checks that log records this experiment and nothing
 // else.
-func (e Experiment) validateJournal(log *journal.Log, configs []cpu.Config, runs int, base uint64) error {
-	h := log.Header
-	if h == nil {
+func (e Experiment) validateJournal(log *journal.Log) error {
+	if log.Header == nil {
 		return refuse(log.Path, "core: journal %s has no header; cannot verify it belongs to this sweep", log.Path)
 	}
+	if err := e.CheckHeader(log.Header); err != nil {
+		return refuse(log.Path, "core: journal %s %v", log.Path, err)
+	}
+	for i := range log.Cells {
+		if err := e.CheckCell(&log.Cells[i]); err != nil {
+			return refuse(log.Path, "core: journal %s: %v", log.Path, err)
+		}
+	}
+	return nil
+}
+
+// CheckHeader reports whether h records a different sweep than this
+// experiment: workload, policy, runs, base seed, fault plan or configs.
+func (e Experiment) CheckHeader(h *journal.Header) error {
+	configs, runs, base := e.normalized()
 	mismatch := func(field, got, want string) error {
-		return refuse(log.Path, "core: journal %s records a different sweep: %s is %s, this sweep has %s",
-			log.Path, field, got, want)
+		return fmt.Errorf("records a different sweep: %s is %s, this sweep has %s", field, got, want)
 	}
 	if h.Workload != e.Workload.Name() {
 		return mismatch("workload", h.Workload, e.Workload.Name())
@@ -181,15 +218,6 @@ func (e Experiment) validateJournal(log *journal.Log, configs []cpu.Config, runs
 	if h.Fault != faultStr {
 		return mismatch("fault plan", fmt.Sprintf("%q", h.Fault), fmt.Sprintf("%q", faultStr))
 	}
-	shardStr := ""
-	if e.Shard != nil {
-		shardStr = e.Shard.String()
-	}
-	if h.Shard != shardStr {
-		// A plain resume of a shard journal (or a shard worker handed the
-		// wrong shard's journal) is refused typed, never silently merged.
-		return mismatch("shard range", fmt.Sprintf("%q", h.Shard), fmt.Sprintf("%q", shardStr))
-	}
 	if len(h.Configs) != len(configs) {
 		return mismatch("config count", fmt.Sprint(len(h.Configs)), fmt.Sprint(len(configs)))
 	}
@@ -198,24 +226,23 @@ func (e Experiment) validateJournal(log *journal.Log, configs []cpu.Config, runs
 			return mismatch(fmt.Sprintf("config %d", i), h.Configs[i], c.String())
 		}
 	}
-	for i := range log.Cells {
-		c := &log.Cells[i]
-		if c.Cfg < 0 || c.Cfg >= len(configs) || c.Run < 0 || c.Run >= runs {
-			return refuse(log.Path, "core: journal %s: cell (%d,%d) outside the %d×%d sweep",
-				log.Path, c.Cfg, c.Run, len(configs), runs)
-		}
-		if e.Shard != nil && !e.Shard.Contains(c.Cfg*runs+c.Run) {
-			return refuse(log.Path, "core: journal %s: cell (%d,%d) outside shard %s",
-				log.Path, c.Cfg, c.Run, e.Shard)
-		}
-		if c.Config != configs[c.Cfg].String() {
-			return refuse(log.Path, "core: journal %s: cell (%d,%d) records config %s, sweep has %s",
-				log.Path, c.Cfg, c.Run, c.Config, configs[c.Cfg])
-		}
-		if want := RetrySeed(base, c.Cfg, c.Run, c.Attempt); c.Seed != want {
-			return refuse(log.Path, "core: journal %s: cell (%d,%d) attempt %d used seed %d, sweep derives %d",
-				log.Path, c.Cfg, c.Run, c.Attempt, c.Seed, want)
-		}
+	return nil
+}
+
+// CheckCell reports whether c is a record this experiment could not
+// have produced: a cell outside the grid, a config string that is not
+// the cell's, or a seed other than the one RetrySeed derives for the
+// recorded attempt.
+func (e Experiment) CheckCell(c *journal.Cell) error {
+	configs, runs, base := e.normalized()
+	if c.Cfg < 0 || c.Cfg >= len(configs) || c.Run < 0 || c.Run >= runs {
+		return fmt.Errorf("cell (%d,%d) outside the %d×%d sweep", c.Cfg, c.Run, len(configs), runs)
+	}
+	if c.Config != configs[c.Cfg].String() {
+		return fmt.Errorf("cell (%d,%d) records config %s, sweep has %s", c.Cfg, c.Run, c.Config, configs[c.Cfg])
+	}
+	if want := RetrySeed(base, c.Cfg, c.Run, c.Attempt); c.Seed != want {
+		return fmt.Errorf("cell (%d,%d) attempt %d used seed %d, sweep derives %d", c.Cfg, c.Run, c.Attempt, c.Seed, want)
 	}
 	return nil
 }
@@ -224,8 +251,8 @@ func (e Experiment) validateJournal(log *journal.Log, configs []cpu.Config, runs
 // executing anything: successes are carried over verbatim, failures
 // become errors with the recorded message. Because assemble is shared
 // with run, a replayed Outcome renders byte-identically to the live
-// sweep's — the property the sharded merge (internal/shard) relies on
-// to prove a stitched journal equivalent to an unsharded run.
+// sweep's — the property a sharded sweep (internal/shard) relies on to
+// report from the records its supervisor appended.
 //
 // The journal must belong to this experiment and must hold a record
 // for every cell; an incomplete journal is refused (use Resume to
@@ -234,10 +261,10 @@ func (e Experiment) Replay(log *journal.Log) (*Outcome, error) {
 	if e.Workload == nil {
 		panic("core: experiment without workload")
 	}
-	configs, runs, base := e.normalized()
-	if err := e.validateJournal(log, configs, runs, base); err != nil {
+	if err := e.validateJournal(log); err != nil {
 		return nil, err
 	}
+	configs, runs, _ := e.normalized()
 	n := len(configs) * runs
 	results := make([]workload.Result, n)
 	errs := make([]error, n)

@@ -1,8 +1,8 @@
 package core
 
 // Tests for the shard-scoped worker side of sharded sweeps: range
-// parsing, in-range-only execution and journaling, the typed refusal
-// for cross-resume, and Replay's reconstruction guarantees.
+// parsing, in-range-only execution and journaling, and Replay's
+// reconstruction guarantees.
 
 import (
 	"errors"
@@ -74,9 +74,6 @@ func TestShardScopedRunJournalsOnlyInRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if log.Header.Shard != shard.String() {
-		t.Errorf("header shard = %q, want %q", log.Header.Shard, shard)
-	}
 	if len(log.Cells) != shard.Hi-shard.Lo {
 		t.Fatalf("journal holds %d cells, want %d", len(log.Cells), shard.Hi-shard.Lo)
 	}
@@ -85,15 +82,6 @@ func TestShardScopedRunJournalsOnlyInRange(t *testing.T) {
 		if idx := c.Cfg*runs + c.Run; idx < shard.Lo || idx >= shard.Hi {
 			t.Errorf("journal holds out-of-range cell (%d,%d)", c.Cfg, c.Run)
 		}
-	}
-
-	// A plain (unsharded) resume of a shard journal must refuse, typed.
-	plain := exp
-	plain.Shard = nil
-	plain.Journal = nil
-	var refused *ResumeRefusedError
-	if _, err := plain.Resume(log); !errors.As(err, &refused) {
-		t.Fatalf("unsharded resume of shard journal: %v, want *ResumeRefusedError", err)
 	}
 
 	// The matching shard resumes it fine — and re-executes nothing, so
@@ -237,9 +225,6 @@ func TestReplayRefusesIncompleteJournal(t *testing.T) {
 	full := exp
 	full.Shard = nil
 	full.Journal = nil
-	// Strip the shard marker so the refusal we observe is the
-	// missing-cell one, not the shard mismatch.
-	log.Header.Shard = ""
 	var refused *ResumeRefusedError
 	if _, err := full.Replay(log); !errors.As(err, &refused) {
 		t.Fatalf("Replay of incomplete journal: %v, want *ResumeRefusedError", err)
@@ -257,8 +242,8 @@ func TestReplayCarriesRecordedFailures(t *testing.T) {
 	ref := exp.Run()
 
 	// Hand-build a journal: real results for all cells but one, which
-	// records a failure (the shape a retry-budget-exhausted shard merge
-	// produces).
+	// records a failure (the shape a shard that exhausts its retry
+	// budget produces).
 	path := filepath.Join(t.TempDir(), "run.jsonl")
 	w, err := journal.Create(path)
 	if err != nil {

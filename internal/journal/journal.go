@@ -40,7 +40,6 @@ const (
 	KindHeader = "header"
 	KindCell   = "cell"
 	KindFigure = "figure"
-	KindShard  = "shard"
 )
 
 // Sink is the journal's seam to the filesystem: the exact five
@@ -196,33 +195,7 @@ type Header struct {
 	// Quick records asmp-run's -quick flag (resolution must match on
 	// resume).
 	Quick bool `json:"quick,omitempty"`
-	// Shard marks a shard worker's journal ("index/of:lo-hi", the
-	// canonical core.ShardRange form): the journal records only that
-	// slice of the sweep's cell grid. Empty for unsharded journals, so
-	// a shard journal is never silently resumed as a full sweep (and
-	// vice versa).
-	Shard string `json:"shard,omitempty"`
-	// Shards marks a manifest journal: the total shard count of the
-	// partition plan the Shard records describe. Zero everywhere else.
-	Shards int `json:"shards,omitempty"`
 	// Sum is the line checksum (FNV-1a of the record with Sum empty).
-	Sum string `json:"sum,omitempty"`
-}
-
-// Shard is one partition assignment in a manifest journal: shard Index
-// of Shards owns the flattened cell range [Lo, Hi) and journals it at
-// Path. The manifest pins the plan so a restarted supervisor recovers
-// exactly the partition its predecessor committed to.
-type Shard struct {
-	Kind   string `json:"kind"`
-	Index  int    `json:"index"`
-	Shards int    `json:"shards"`
-	Lo     int    `json:"lo"`
-	Hi     int    `json:"hi"`
-	// Path is the shard journal file, stored as written (the planner
-	// derives it from the merged journal's path).
-	Path string `json:"path"`
-	// Sum is the line checksum.
 	Sum string `json:"sum,omitempty"`
 }
 
@@ -273,11 +246,9 @@ type Log struct {
 	// Header is the identity record, nil if the journal is empty or was
 	// truncated before the header survived.
 	Header *Header
-	// Cells, Figures and Shards are the completed records in append
-	// order.
+	// Cells and Figures are the completed records in append order.
 	Cells   []Cell
 	Figures []Figure
-	Shards  []Shard
 	// Dropped counts corrupt trailing lines that were ignored (a torn
 	// final write from a crash).
 	Dropped int
@@ -363,6 +334,23 @@ func CreateVia(path string, wrap WrapSink) (*Writer, error) {
 	}
 	return &Writer{f: wrapSink(f, wrap), path: path}, nil
 }
+
+// Stream returns a Writer that appends sealed records to w instead of a
+// file: a shard worker streams its records to the supervisor over its
+// stdout this way. A pipe has nothing to fsync, so Sync is a no-op; the
+// sink cannot truncate or seek, and Close leaves w open. wrap decorates
+// the sink as in CreateVia (nil = none).
+func Stream(w io.Writer, wrap WrapSink) *Writer {
+	return &Writer{f: wrapSink(streamSink{w}, wrap), path: "stream"}
+}
+
+// streamSink is the Sink behind Stream.
+type streamSink struct{ io.Writer }
+
+func (streamSink) Sync() error                    { return nil }
+func (streamSink) Truncate(int64) error           { return errors.ErrUnsupported }
+func (streamSink) Seek(int64, int) (int64, error) { return 0, errors.ErrUnsupported }
+func (streamSink) Close() error                   { return nil }
 
 // Resume parses the journal at path, truncates any corrupt tail (the
 // torn line of a crash), and returns the parsed log plus a writer
@@ -461,12 +449,6 @@ func (w *Writer) WriteFigure(f Figure) error {
 	return w.append(&f, func(s string) { f.Sum = s })
 }
 
-// WriteShard appends one partition assignment (manifest journals).
-func (w *Writer) WriteShard(s Shard) error {
-	s.Kind = KindShard
-	return w.append(&s, func(sum string) { s.Sum = sum })
-}
-
 // Err returns the first append failure, or nil.
 func (w *Writer) Err() error {
 	w.mu.Lock()
@@ -521,9 +503,9 @@ func Read(path string) (*Log, error) {
 	return log, err
 }
 
-// maxLine bounds one journal line; figure records carry whole rendered
+// MaxLine bounds one journal line; figure records carry whole rendered
 // tables, so this is generous.
-const maxLine = 8 << 20
+const MaxLine = 8 << 20
 
 // read parses path and additionally returns the byte length of the
 // valid prefix (for tail truncation on resume) and whether the final
@@ -557,8 +539,8 @@ func read(path string) (log *Log, validLen int64, tornNewline bool, err error) {
 		}
 		if len(raw) > 0 {
 			lineNo++
-			if len(raw) > maxLine {
-				return nil, 0, false, fmt.Errorf("journal: reading %s: line %d exceeds %d bytes", path, lineNo, maxLine)
+			if len(raw) > MaxLine {
+				return nil, 0, false, fmt.Errorf("journal: reading %s: line %d exceeds %d bytes", path, lineNo, MaxLine)
 			}
 			terminated := raw[len(raw)-1] == '\n'
 			lineStart := offset
@@ -569,7 +551,7 @@ func read(path string) (log *Log, validLen int64, tornNewline bool, err error) {
 				// Blank lines are harmless (and never extend the valid
 				// prefix).
 			default:
-				rec, perr := parseLine([]byte(line))
+				rec, perr := ParseLine([]byte(line))
 				if perr != nil {
 					if firstBad < 0 {
 						firstBad = lineNo
@@ -588,7 +570,7 @@ func read(path string) (log *Log, validLen int64, tornNewline bool, err error) {
 						return nil, 0, false, &DamagedError{Path: path, Line: lineNo, Offset: lineStart,
 							Reason: fmt.Sprintf("duplicate header at line %d (byte offset %d)", lineNo, lineStart)}
 					}
-					if len(log.Cells)+len(log.Figures)+len(log.Shards) > 0 {
+					if len(log.Cells)+len(log.Figures) > 0 {
 						return nil, 0, false, &DamagedError{Path: path, Line: lineNo, Offset: lineStart,
 							Reason: fmt.Sprintf("header at line %d (byte offset %d) after data records", lineNo, lineStart)}
 					}
@@ -597,8 +579,6 @@ func read(path string) (log *Log, validLen int64, tornNewline bool, err error) {
 					log.Cells = append(log.Cells, *r)
 				case *Figure:
 					log.Figures = append(log.Figures, *r)
-				case *Shard:
-					log.Shards = append(log.Shards, *r)
 				}
 				validLen = offset
 				tornNewline = !terminated
@@ -610,8 +590,14 @@ func read(path string) (log *Log, validLen int64, tornNewline bool, err error) {
 	}
 }
 
-// parseLine decodes and checksum-verifies one record line.
-func parseLine(line []byte) (any, error) {
+// ParseLine decodes and checksum-verifies one record line (without its
+// newline), returning a *Header, *Cell or *Figure. It is the one
+// decoder for journal files and for the record streams shard workers
+// send their supervisor; a line longer than MaxLine is refused.
+func ParseLine(line []byte) (any, error) {
+	if len(line) > MaxLine {
+		return nil, fmt.Errorf("journal: record of %d bytes exceeds %d", len(line), MaxLine)
+	}
 	var probe struct {
 		Kind string `json:"kind"`
 		V    int    `json:"v"`
@@ -650,15 +636,6 @@ func parseLine(line []byte) (any, error) {
 			return nil, fmt.Errorf("journal: figure checksum mismatch")
 		}
 		return &fig, nil
-	case KindShard:
-		var sh Shard
-		if err := json.Unmarshal(line, &sh); err != nil {
-			return nil, err
-		}
-		if !verify(&sh, sh.Sum, func(s string) { sh.Sum = s }) {
-			return nil, fmt.Errorf("journal: shard checksum mismatch")
-		}
-		return &sh, nil
 	default:
 		return nil, fmt.Errorf("journal: unknown record kind %q", probe.Kind)
 	}

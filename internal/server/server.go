@@ -42,7 +42,6 @@ import (
 	"time"
 
 	"asmp/internal/core"
-	"asmp/internal/shard"
 )
 
 // Options tunes the daemon. The zero value serves with sensible
@@ -240,15 +239,6 @@ type Stats struct {
 		Led       uint64 `json:"led"`
 		Coalesced uint64 `json:"coalesced"`
 	} `json:"flight"`
-	// Shard exposes the process-wide shard-supervision counters
-	// (internal/shard.Stats): retried counts worker respawns after a
-	// crash, resumed_shards counts spawns that resumed an existing shard
-	// journal prefix. Always present; zero until this process supervises
-	// a sharded sweep. Monotone.
-	Shard struct {
-		Retried       uint64 `json:"retried"`
-		ResumedShards uint64 `json:"resumed_shards"`
-	} `json:"shard"`
 	// Latency summarises data-endpoint wall time in milliseconds.
 	// Observability only; responses never embed wall time.
 	Latency struct {
@@ -282,7 +272,6 @@ func (s *Server) StatsSnapshot() Stats {
 	st.Cache.Hits, st.Cache.Misses, st.Cache.Refused = ms.Disk.Hits, ms.Disk.Misses, ms.Disk.Refused
 	st.Cache.Stored, st.Cache.StoreErrors, st.Cache.Evicted = ms.Disk.Stored, ms.Disk.StoreErrors, ms.Disk.Evicted
 	st.Flight.Led, st.Flight.Coalesced = ms.Led, ms.Coalesced
-	st.Shard.Retried, st.Shard.ResumedShards = shard.Stats()
 	return st
 }
 

@@ -3,10 +3,11 @@ package shard
 // Chaos harness: the supervisor's headline property, driven through
 // real worker processes. Workers are re-execs of this test binary
 // (TestMain diverts on chaosWorkerEnv) that SIGKILL themselves
-// mid-write at sampled byte offsets, or suffer injected sink faults.
-// Every interleaving must end in one of exactly two outcomes:
+// mid-write at sampled byte offsets of their record stream, or suffer
+// injected sink faults. Every interleaving must end in one of exactly
+// two outcomes:
 //
-//   - the supervisor's retries converge and the merged journal is
+//   - the supervisor's retries converge and the journal is
 //     byte-identical to the unsharded reference, or
 //   - the retry budget exhausts and the sweep still completes, with
 //     the dead shard's cells degraded to typed ERR records naming it.
@@ -20,8 +21,8 @@ package shard
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -45,12 +46,11 @@ const chaosWorkerEnv = "ASMP_SHARD_CHAOS_WORKER"
 // chaosConf is the re-exec'd worker's marching orders.
 type chaosConf struct {
 	Range      string // core.ShardRange, e.g. "0/2:0-5"
-	Journal    string // shard journal path
-	Resume     bool   // resume the journal's valid prefix
-	TearAt     int64  // >0: tear the journal sink at this byte
+	TearAt     int64  // >0: tear the record stream at this byte
 	Kill       bool   // with TearAt: SIGKILL self mid-write
 	FailSyncAt int    // >0: fail the n-th sync
-	CacheDir   string // attach the disk result cache here (ISSUE 9)
+	Sequential bool   // run cells in grid order, so a kill leaves a delivered prefix
+	CacheDir   string // attach the disk result cache here
 	StatsFile  string // write the worker's final cache counters here
 }
 
@@ -82,8 +82,8 @@ func chaosExperiment() (core.Experiment, error) {
 	}, nil
 }
 
-// chaosWorkerMain runs one shard worker per the env config. Exit codes
-// mirror the CLI worker's: 0 done, 2 typed refusal, 3 incomplete.
+// chaosWorkerMain runs one shard worker per the env config, streaming
+// to stdout as the CLI worker does. It exits 0 when done, 1 otherwise.
 func chaosWorkerMain(conf string) int {
 	fail := func(err error) int {
 		fmt.Fprintln(os.Stderr, "chaos worker:", err)
@@ -101,6 +101,7 @@ func chaosWorkerMain(conf string) int {
 	if err != nil {
 		return fail(err)
 	}
+	exp.Sequential = c.Sequential
 	if c.CacheDir != "" {
 		if err := core.AttachResultCache(c.CacheDir, 0); err != nil {
 			return fail(err)
@@ -115,7 +116,7 @@ func chaosWorkerMain(conf string) int {
 			FailSyncAt: c.FailSyncAt,
 		}.Wrap()
 	}
-	err = Worker(exp, r, c.Journal, c.Resume, wrap)
+	err = Worker(exp, r, "", os.Stdout, wrap)
 	// Report this worker's disk-cache counters to the supervisor side
 	// of the harness. A SIGKILLed attempt never gets here — only the
 	// surviving attempt's counters land in the file, which is exactly
@@ -129,59 +130,89 @@ func chaosWorkerMain(conf string) int {
 			return fail(merr)
 		}
 	}
-	switch {
-	case err == nil:
-		return 0
-	case errors.As(err, new(*journal.DamagedError)), errors.As(err, new(*core.ResumeRefusedError)):
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "chaos worker:", err)
-		return 2
-	default:
-		fmt.Fprintln(os.Stderr, "chaos worker:", err)
-		return 3
+		return 1
 	}
+	return 0
 }
 
 // chaosRunner spawns real worker processes: fault picks each attempt's
-// injection (zero chaosConf means a clean worker).
-func chaosRunner(fault func(shardIdx, attempt int) chaosConf) Runner {
+// injection (zero chaosConf means a clean worker). The returned
+// function lists the ranges each shard's attempts covered, in order.
+func chaosRunner(fault func(shardIdx, attempt int) chaosConf) (Runner, func(shardIdx int) []core.ShardRange) {
 	var mu sync.Mutex
-	attempts := map[int]int{}
-	return func(spec Spec, resume bool) error {
+	ranges := map[int][]core.ShardRange{}
+	run := func(r core.ShardRange, stdout io.Writer) error {
 		mu.Lock()
-		attempts[spec.Range.Index]++
-		n := attempts[spec.Range.Index]
+		ranges[r.Index] = append(ranges[r.Index], r)
+		n := len(ranges[r.Index])
 		mu.Unlock()
-		c := fault(spec.Range.Index, n)
-		c.Range = spec.Range.String()
-		c.Journal = spec.Journal
-		c.Resume = resume
+		c := fault(r.Index, n)
+		c.Range = r.String()
 		raw, err := json.Marshal(c)
 		if err != nil {
 			return err
 		}
 		cmd := exec.Command(os.Args[0])
 		cmd.Env = append(os.Environ(), chaosWorkerEnv+"="+string(raw))
+		cmd.Stdout = stdout
 		var stderr bytes.Buffer
 		cmd.Stderr = &stderr
 		if err := cmd.Run(); err != nil {
-			return fmt.Errorf("worker %s: %w (stderr %q)", spec.Range, err, strings.TrimSpace(stderr.String()))
+			return fmt.Errorf("worker %s: %w (stderr %q)", r, err, strings.TrimSpace(stderr.String()))
 		}
 		return nil
 	}
+	attempts := func(idx int) []core.ShardRange {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]core.ShardRange(nil), ranges[idx]...)
+	}
+	return run, attempts
 }
 
-// superviseBounded enforces the no-hang half of the contract: the
-// whole supervision must finish inside the deadline.
-func superviseBounded(t *testing.T, o Options, limit time.Duration) []ShardOutcome {
+// chaosResult is one bounded supervision's journal and results.
+type chaosResult struct {
+	raw  []byte
+	out  *core.Outcome
+	outs []ShardOutcome
+	err  error
+}
+
+// superviseBounded runs a fresh 2-shard supervision into path and
+// enforces the no-hang half of the contract: the whole supervision
+// must finish inside the deadline.
+func superviseBounded(t *testing.T, exp core.Experiment, path string, o Options, limit time.Duration) chaosResult {
 	t.Helper()
-	done := make(chan []ShardOutcome, 1)
-	go func() { done <- Supervise(o) }()
+	done := make(chan chaosResult, 1)
+	go func() {
+		var res chaosResult
+		w, err := journal.Create(path)
+		if err != nil {
+			res.err = err
+			done <- res
+			return
+		}
+		exp.Journal = w
+		res.out, res.outs, res.err = Supervise(exp, nil, 2, o)
+		if cerr := w.Close(); res.err == nil {
+			res.err = cerr
+		}
+		if res.err == nil {
+			res.raw, res.err = os.ReadFile(path)
+		}
+		done <- res
+	}()
 	select {
-	case out := <-done:
-		return out
+	case res := <-done:
+		if res.err != nil {
+			t.Fatalf("supervision: %v", res.err)
+		}
+		return res
 	case <-time.After(limit):
 		t.Fatalf("supervision did not finish within %v", limit)
-		return nil
+		return chaosResult{}
 	}
 }
 
@@ -212,9 +243,9 @@ func saveArtifacts(t *testing.T, label string, paths ...string) {
 }
 
 // chaosOffsets samples the byte offsets where a worker dies. The
-// interesting region is the shard journal's own extent (roughly half
-// the reference for 2 shards); offsets beyond it simply never fire and
-// the worker completes — also a valid interleaving.
+// interesting region is the worker's own stream (roughly half the
+// reference for 2 shards); offsets beyond it simply never fire and the
+// worker completes — also a valid interleaving.
 func chaosOffsets(refLen int) []int64 {
 	if os.Getenv("ASMP_SHARD_CHAOS_FULL") != "" && !testing.Short() {
 		var offs []int64
@@ -228,8 +259,8 @@ func chaosOffsets(refLen int) []int64 {
 
 // TestChaosWorkerDeathConvergesByteIdentical: workers torn or
 // SIGKILLed at sampled offsets (and sync-failed) on their first
-// attempt must be respawned into a merged journal byte-identical to
-// the unsharded reference.
+// attempt must be respawned into a journal byte-identical to the
+// unsharded reference.
 func TestChaosWorkerDeathConvergesByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
@@ -258,54 +289,36 @@ func TestChaosWorkerDeathConvergesByteIdentical(t *testing.T) {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			path := filepath.Join(dir, sc.name+".jsonl")
-			plan, _, err := Recover(exp, 2, path, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
 			// The fault fires on every shard's first attempt only; the
-			// respawn runs clean. Retries: 3 gives headroom for a set-aside
-			// plus a resume.
-			runner := chaosRunner(func(idx, attempt int) chaosConf {
+			// respawn runs clean.
+			runner, _ := chaosRunner(func(idx, attempt int) chaosConf {
 				if attempt > 1 {
 					return chaosConf{}
 				}
 				return sc.fault
 			})
-			outcomes := superviseBounded(t, Options{Plan: plan, Run: runner, Retries: 3, Sleep: noSleep}, time.Minute)
-			journals := []string{path}
-			for _, s := range plan.Specs {
-				journals = append(journals, s.Journal)
-			}
-			for _, o := range outcomes {
+			res := superviseBounded(t, exp, path, Options{Run: runner, Retries: 3, Sleep: noSleep}, time.Minute)
+			for _, o := range res.outs {
 				if o.Err != nil {
-					saveArtifacts(t, sc.name, journals...)
-					t.Fatalf("shard %s did not converge: %v", o.Spec.Range, o.Err)
+					saveArtifacts(t, sc.name, path)
+					t.Fatalf("shard %s did not converge: %v", o.Range, o.Err)
 				}
 			}
-			if _, err := Merge(exp, plan, outcomes, nil); err != nil {
-				saveArtifacts(t, sc.name, journals...)
-				t.Fatalf("merge: %v", err)
-			}
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(raw, ref) {
-				saveArtifacts(t, sc.name, journals...)
-				t.Fatal("merged journal differs from the unsharded reference")
+			if !bytes.Equal(res.raw, ref) {
+				saveArtifacts(t, sc.name, path)
+				t.Fatal("journal differs from the unsharded reference")
 			}
 		})
 	}
 }
 
-// TestChaosRespawnWarmHitsPredecessorCells (ISSUE 9, satellite 2): a
-// worker SIGKILLed mid-journal leaves its already-executed cells in the
-// shared disk cache (write-through happens at Execute time, before the
-// journal write that killed it). The respawned worker must resume the
-// journal's valid prefix AND serve the re-executed remainder from
-// verified cache hits — without simulating those cells again — and the
-// merged journal must still be byte-identical to the unsharded
-// reference.
+// TestChaosRespawnWarmHitsPredecessorCells: a worker SIGKILLed
+// mid-stream leaves its already-executed cells in the shared disk cache
+// (write-through happens at Execute time, before the stream write that
+// killed it). The respawn must cover only the undelivered remainder —
+// its range starts past the delivered prefix — AND serve re-executed
+// cells from verified cache hits, without simulating them again, and
+// the journal must still be byte-identical to the unsharded reference.
 func TestChaosRespawnWarmHitsPredecessorCells(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
@@ -316,48 +329,39 @@ func TestChaosRespawnWarmHitsPredecessorCells(t *testing.T) {
 	cacheDir := filepath.Join(dir, "cache")
 
 	path := filepath.Join(dir, "run.jsonl")
-	plan, _, err := Recover(exp, 2, path, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	statsFile := func(idx int) string {
 		return filepath.Join(dir, fmt.Sprintf("stats-%d.json", idx))
 	}
 	// Every shard's first attempt SIGKILLs itself mid-write, deep enough
-	// into the journal that several cells completed (and were published)
+	// into its stream that several cells completed (and were published)
 	// first; respawns run clean with the same cache.
-	runner := chaosRunner(func(idx, attempt int) chaosConf {
-		c := chaosConf{CacheDir: cacheDir, StatsFile: statsFile(idx)}
+	runner, attempts := chaosRunner(func(idx, attempt int) chaosConf {
+		c := chaosConf{Sequential: true, CacheDir: cacheDir, StatsFile: statsFile(idx)}
 		if attempt == 1 {
 			c.TearAt = int64(len(ref)) / 3
 			c.Kill = true
 		}
 		return c
 	})
-	_, resumedBefore := Stats()
-	outcomes := superviseBounded(t, Options{Plan: plan, Run: runner, Retries: 3, Sleep: noSleep}, time.Minute)
-	journals := []string{path}
-	for _, s := range plan.Specs {
-		journals = append(journals, s.Journal)
-	}
-	for _, o := range outcomes {
+	res := superviseBounded(t, exp, path, Options{Run: runner, Retries: 3, Sleep: noSleep}, time.Minute)
+	for _, o := range res.outs {
 		if o.Err != nil {
-			saveArtifacts(t, "respawn-warm", journals...)
-			t.Fatalf("shard %s did not converge: %v", o.Spec.Range, o.Err)
+			saveArtifacts(t, "respawn-warm", path)
+			t.Fatalf("shard %s did not converge: %v", o.Range, o.Err)
 		}
-	}
-	if _, resumedAfter := Stats(); resumedAfter == resumedBefore {
-		t.Error("shard.resumed counter did not advance across the respawns")
+		if rs := attempts(o.Range.Index); len(rs) < 2 || rs[1].Lo <= o.Range.Lo {
+			t.Errorf("shard %s: attempt ranges %v, want a respawn starting past the delivered prefix", o.Range, rs)
+		}
 	}
 
 	// The cache counters prove the respawn was warm: at minimum the cell
 	// that was mid-write when the SIGKILL landed had already been
 	// published, so the worker that finished each shard saw disk hits.
 	sawHits := false
-	for _, s := range plan.Specs {
-		raw, err := os.ReadFile(statsFile(s.Range.Index))
+	for _, o := range res.outs {
+		raw, err := os.ReadFile(statsFile(o.Range.Index))
 		if err != nil {
-			t.Fatalf("shard %d reported no cache stats: %v", s.Range.Index, err)
+			t.Fatalf("shard %d reported no cache stats: %v", o.Range.Index, err)
 		}
 		var st struct {
 			Hits    uint64 `json:"hits"`
@@ -367,7 +371,7 @@ func TestChaosRespawnWarmHitsPredecessorCells(t *testing.T) {
 			t.Fatal(err)
 		}
 		if st.Refused != 0 {
-			t.Errorf("shard %d refused %d cache entries (atomic publish must not tear)", s.Range.Index, st.Refused)
+			t.Errorf("shard %d refused %d cache entries (atomic publish must not tear)", o.Range.Index, st.Refused)
 		}
 		if st.Hits > 0 {
 			sawHits = true
@@ -377,17 +381,9 @@ func TestChaosRespawnWarmHitsPredecessorCells(t *testing.T) {
 		t.Error("no respawned worker served a single disk hit — the cache was not shared across attempts")
 	}
 
-	if _, err := Merge(exp, plan, outcomes, nil); err != nil {
-		saveArtifacts(t, "respawn-warm", journals...)
-		t.Fatalf("merge: %v", err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(raw, ref) {
-		saveArtifacts(t, "respawn-warm", journals...)
-		t.Fatal("merged journal over a shared cache differs from the unsharded reference")
+	if !bytes.Equal(res.raw, ref) {
+		saveArtifacts(t, "respawn-warm", path)
+		t.Fatal("journal over a shared cache differs from the unsharded reference")
 	}
 }
 
@@ -401,34 +397,22 @@ func TestChaosCrashLoopExhaustsBudgetAndDegrades(t *testing.T) {
 	}
 	exp := testExperiment(t)
 	dir := t.TempDir()
-	path := filepath.Join(dir, "run.jsonl")
-	plan, _, err := Recover(exp, 2, path, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner := chaosRunner(func(idx, attempt int) chaosConf {
+	runner, _ := chaosRunner(func(idx, attempt int) chaosConf {
 		if idx == 1 {
 			return chaosConf{TearAt: 1, Kill: true}
 		}
 		return chaosConf{}
 	})
-	outcomes := superviseBounded(t, Options{Plan: plan, Run: runner, Retries: 1, Sleep: noSleep}, time.Minute)
-	if outcomes[0].Err != nil {
-		t.Fatalf("healthy shard: %v", outcomes[0].Err)
+	res := superviseBounded(t, exp, filepath.Join(dir, "run.jsonl"), Options{Run: runner, Retries: 1, Sleep: noSleep}, time.Minute)
+	if res.outs[0].Err != nil {
+		t.Fatalf("healthy shard: %v", res.outs[0].Err)
 	}
-	if outcomes[1].Err == nil || outcomes[1].Attempts != 2 {
-		t.Fatalf("crash-loop shard: err=%v attempts=%d, want exhausted budget of 2", outcomes[1].Err, outcomes[1].Attempts)
+	if res.outs[1].Err == nil || res.outs[1].Attempts != 2 {
+		t.Fatalf("crash-loop shard: err=%v attempts=%d, want exhausted budget of 2", res.outs[1].Err, res.outs[1].Attempts)
 	}
-	log, err := Merge(exp, plan, outcomes, nil)
-	if err != nil {
-		t.Fatalf("merge must complete despite the crash loop: %v", err)
-	}
-	out, err := exp.Replay(log)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := res.out
 	_, runs, _ := exp.Grid()
-	bad := plan.Specs[1].Range
+	bad := res.outs[1].Range
 	for c := range out.PerConfig {
 		for r := 0; r < runs; r++ {
 			cellErr := out.PerConfig[c].Errs[r]

@@ -1,61 +1,32 @@
-// Package shard distributes one sweep across processes: a deterministic
-// partition planner splits the cell grid into disjoint shard specs, a
-// supervisor runs one worker process per shard and respawns crashed
-// workers by resuming their journals, and a merge step stitches the
-// per-shard journals back into the canonical single-journal record
-// order. The pieces compose into the package's contract:
+// Package shard distributes one sweep across processes. Partition
+// splits the cells to run into contiguous balanced ranges, and
+// Supervise runs one worker process per range, reads each worker's
+// records off its stdout and appends them to the sweep's one journal.
+// The pieces compose into the package's contract:
 //
-//   - the partition is a pure function of (grid size, shard count), and
-//     the plan is committed to a manifest journal before any worker
-//     starts, so a restarted supervisor recovers exactly the partition
-//     its predecessor chose;
-//   - workers are ordinary shard-scoped experiments (core.ShardRange):
-//     every cell is a pure function of its derived seed, so a worker
-//     killed at any byte and resumed finishes with the same records;
-//   - the merged journal is byte-identical to the journal an unsharded
-//     sequential sweep writes, so every downstream consumer — report,
-//     figure, digest verification, plain -resume — is oblivious to
-//     whether the sweep was sharded;
+//   - workers are ordinary shard-scoped experiments (core.ShardRange)
+//     that stream the sealed cell lines a journal would hold; every
+//     cell is a pure function of its derived seed, so a respawned
+//     worker delivers the same records its dead predecessor would have;
+//   - the supervisor checks every line (checksum, range, config, seed)
+//     and appends cells in grid order as the prefix fills, so the
+//     journal is byte-identical to the one a sequential unsharded sweep
+//     writes, and a sharded resume appends the bytes a sequential
+//     resume would;
 //   - a shard that exhausts its retry budget degrades to typed ERR
 //     cells naming the shard; the sweep still completes.
 package shard
 
 import (
-	"errors"
 	"fmt"
-	"os"
 
 	"asmp/internal/core"
-	"asmp/internal/journal"
 )
-
-// Spec is one shard assignment: a cell range and the journal file the
-// worker records it in.
-type Spec struct {
-	// Range is the shard's slice of the flattened cell grid.
-	Range core.ShardRange
-	// Journal is the shard's journal path ("<merged>.shardN").
-	Journal string
-}
-
-// Plan is a committed partition: the manifest pins it on disk, and
-// Specs is what the supervisor executes.
-type Plan struct {
-	// ManifestPath is the manifest journal ("<merged>.manifest").
-	ManifestPath string
-	// Journal is the merged journal path the sweep ultimately produces.
-	Journal string
-	// Header is the merged (unsharded) sweep's identity header with
-	// Shards set — what the manifest records and recovery validates.
-	Header journal.Header
-	// Specs are the shard assignments, in index order.
-	Specs []Spec
-}
 
 // Partition splits n cells across k shards into contiguous balanced
 // ranges: the first n%k shards hold one extra cell. It is a pure
-// function of (n, k) — the determinism the manifest relies on. Shards
-// beyond n cells come out empty (Lo == Hi) and complete trivially.
+// function of (n, k). Shards beyond n cells come out empty (Lo == Hi)
+// and complete trivially.
 func Partition(n, k int) []core.ShardRange {
 	if n < 0 || k < 1 {
 		panic(fmt.Sprintf("shard: cannot partition %d cells into %d shards", n, k))
@@ -72,183 +43,4 @@ func Partition(n, k int) []core.ShardRange {
 		lo = hi
 	}
 	return out
-}
-
-// PlanFor builds the partition plan for an experiment: k shards over
-// its cell grid, shard journals and the manifest derived from the
-// merged journal's path. The plan is not yet committed — Recover
-// writes or adopts the manifest.
-func PlanFor(exp core.Experiment, k int, journalPath string) (*Plan, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("shard: shard count %d < 1", k)
-	}
-	if exp.Shard != nil {
-		return nil, errors.New("shard: cannot plan a sweep that is itself a shard")
-	}
-	configs, runs, _ := exp.Grid()
-	h := exp.JournalHeader()
-	h.Shards = k
-	p := &Plan{
-		ManifestPath: journalPath + ".manifest",
-		Journal:      journalPath,
-		Header:       h,
-	}
-	for _, r := range Partition(len(configs)*runs, k) {
-		p.Specs = append(p.Specs, Spec{
-			Range:   r,
-			Journal: fmt.Sprintf("%s.shard%d", journalPath, r.Index),
-		})
-	}
-	return p, nil
-}
-
-// write commits the plan to its manifest journal: the identity header
-// followed by one shard record per spec.
-func (p *Plan) write(wrap journal.WrapSink) error {
-	w, err := journal.CreateVia(p.ManifestPath, wrap)
-	if err != nil {
-		return err
-	}
-	werr := w.WriteHeader(p.Header)
-	for _, s := range p.Specs {
-		if werr != nil {
-			break
-		}
-		werr = w.WriteShard(journal.Shard{
-			Index:  s.Range.Index,
-			Shards: s.Range.Of,
-			Lo:     s.Range.Lo,
-			Hi:     s.Range.Hi,
-			Path:   s.Journal,
-		})
-	}
-	if cerr := w.Close(); werr == nil {
-		werr = cerr
-	}
-	return werr
-}
-
-// refuse builds the typed refusal for an untrustworthy manifest.
-func refuse(path, format string, args ...any) error {
-	return &core.ResumeRefusedError{Path: path, Msg: fmt.Sprintf(format, args...)}
-}
-
-// headerIdentityEqual compares the sweep-identity fields of two headers
-// (everything a resume validates; Shards deliberately excluded — the
-// manifest's committed count wins over a later -shards flag).
-func headerIdentityEqual(a, b *journal.Header) bool {
-	if a.Workload != b.Workload || a.Policy != b.Policy || a.Runs != b.Runs ||
-		a.BaseSeed != b.BaseSeed || a.Fault != b.Fault || len(a.Configs) != len(b.Configs) {
-		return false
-	}
-	for i := range a.Configs {
-		if a.Configs[i] != b.Configs[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Recover returns the committed plan for this sweep, writing the
-// manifest if none exists. The decision table:
-//
-//   - no manifest: commit a fresh plan with the requested shard count;
-//   - valid manifest for the same sweep identity: adopt its plan — its
-//     shard count wins over the requested one, so a restarted
-//     supervisor continues the partition its predecessor committed to
-//     (adopted reports this);
-//   - valid manifest for a different sweep: typed refusal — the
-//     journal path belongs to someone else, never silently overwritten;
-//   - damaged or incomplete manifest: set it aside (.damaged, counter
-//     suffixed) and commit a fresh plan; a half-written plan was never
-//     acted on, because workers only start after the manifest commits.
-func Recover(exp core.Experiment, requested int, journalPath string, wrap journal.WrapSink, logf func(string, ...any)) (p *Plan, adopted bool, err error) {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	p, err = PlanFor(exp, requested, journalPath)
-	if err != nil {
-		return nil, false, err
-	}
-	log, rerr := journal.Read(p.ManifestPath)
-	switch {
-	case rerr == nil:
-		adoptable, why := manifestPlan(log, &p.Header)
-		if adoptable != nil {
-			if adoptable.Header.Shards != requested {
-				logf("shard: manifest %s committed %d shards; ignoring -shards %d",
-					p.ManifestPath, adoptable.Header.Shards, requested)
-			}
-			adoptable.ManifestPath = p.ManifestPath
-			adoptable.Journal = journalPath
-			return adoptable, true, nil
-		}
-		if why != nil {
-			// Same path, different sweep: refuse rather than clobber.
-			return nil, false, why
-		}
-		// Incomplete manifest (header ok, shard records missing): set
-		// aside and recommit below.
-		aside, aerr := journal.SetAside(p.ManifestPath)
-		if aerr != nil {
-			return nil, false, aerr
-		}
-		logf("shard: incomplete manifest set aside to %s", aside)
-	case errors.As(rerr, new(*journal.DamagedError)):
-		aside, aerr := journal.SetAside(p.ManifestPath)
-		if aerr != nil {
-			return nil, false, aerr
-		}
-		logf("shard: damaged manifest set aside to %s", aside)
-	case errors.Is(rerr, os.ErrNotExist):
-		// Fresh sweep: commit below.
-	default:
-		return nil, false, rerr
-	}
-	if err := p.write(wrap); err != nil {
-		return nil, false, err
-	}
-	return p, false, nil
-}
-
-// manifestPlan validates a parsed manifest against the expected sweep
-// identity and rebuilds its plan. It returns (plan, nil) when the
-// manifest is adoptable, (nil, refusal) when it records a different
-// sweep or an inconsistent partition, and (nil, nil) when it is merely
-// incomplete (recoverable by recommitting).
-func manifestPlan(log *journal.Log, want *journal.Header) (*Plan, error) {
-	h := log.Header
-	if h == nil {
-		return nil, nil
-	}
-	if !headerIdentityEqual(h, want) {
-		return nil, refuse(log.Path, "shard: manifest %s records a different sweep (workload %q, policy %q, %d configs); refusing to overwrite it",
-			log.Path, h.Workload, h.Policy, len(h.Configs))
-	}
-	if h.Shards < 1 || len(log.Shards) < h.Shards {
-		return nil, nil // torn mid-commit: not yet a plan
-	}
-	p := &Plan{Header: *h}
-	lo := 0
-	for i := 0; i < h.Shards; i++ {
-		var rec *journal.Shard
-		for j := range log.Shards {
-			if log.Shards[j].Index == i {
-				rec = &log.Shards[j] // last record wins, as everywhere
-			}
-		}
-		if rec == nil || rec.Shards != h.Shards || rec.Lo != lo || rec.Hi < rec.Lo {
-			return nil, refuse(log.Path, "shard: manifest %s holds an inconsistent partition (shard %d)", log.Path, i)
-		}
-		p.Specs = append(p.Specs, Spec{
-			Range:   core.ShardRange{Index: i, Of: h.Shards, Lo: rec.Lo, Hi: rec.Hi},
-			Journal: rec.Path,
-		})
-		lo = rec.Hi
-	}
-	if lo != len(want.Configs)*want.Runs {
-		return nil, refuse(log.Path, "shard: manifest %s partition covers %d cells, sweep has %d",
-			log.Path, lo, len(want.Configs)*want.Runs)
-	}
-	return p, nil
 }

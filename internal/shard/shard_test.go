@@ -1,9 +1,10 @@
 package shard
 
-// Unit tests for the partition planner, manifest recovery, the
-// supervisor's respawn/set-aside/budget behaviour, and the merge's
-// byte-identity claim — all with in-process runners. The subprocess
-// chaos harness (SIGKILL at sampled bytes) lives in chaos_test.go.
+// Unit tests for the partitioner and the supervisor — byte identity
+// across shard counts, respawns, refused stream records, budget
+// exhaustion, cancellation and sharded resume — all with in-process
+// runners. The subprocess chaos harness (SIGKILL at sampled bytes)
+// lives in chaos_test.go.
 
 import (
 	"errors"
@@ -31,8 +32,8 @@ func testExperiment(t *testing.T) core.Experiment {
 }
 
 // referenceJournal runs the unsharded sweep sequentially (so cell
-// records land in flattened order, exactly as the merge emits them)
-// and returns the journal bytes the merge must reproduce.
+// records land in flattened order, exactly as the supervisor appends
+// them) and returns the journal bytes a sharded sweep must reproduce.
 func referenceJournal(t *testing.T, exp core.Experiment, dir string) []byte {
 	t.Helper()
 	path := filepath.Join(dir, "ref.jsonl")
@@ -56,15 +57,56 @@ func referenceJournal(t *testing.T, exp core.Experiment, dir string) []byte {
 	return raw
 }
 
-// inProcess returns a Runner that executes shards in this process.
-func inProcess(exp core.Experiment) Runner {
-	return func(spec Spec, resume bool) error {
-		return Worker(exp, spec.Range, spec.Journal, resume, nil)
+// inProcess returns a Runner that executes shards in this process;
+// resumeFrom is the journal a resuming worker reads ("" for fresh).
+func inProcess(exp core.Experiment, resumeFrom string) Runner {
+	return func(r core.ShardRange, stdout io.Writer) error {
+		return Worker(exp, r, resumeFrom, stdout, nil)
 	}
 }
 
 // noSleep silences supervision backoff in tests.
 func noSleep(time.Duration) {}
+
+// superviseFresh runs a fresh sharded sweep into a new journal at path
+// and returns the journal's bytes with the supervision's results.
+func superviseFresh(t *testing.T, exp core.Experiment, path string, shards int, o Options) ([]byte, *core.Outcome, []ShardOutcome, error) {
+	t.Helper()
+	w, err := journal.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp.Journal = w
+	out, outs, serr := Supervise(exp, nil, shards, o)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw, out, outs, serr
+}
+
+// superviseResume resumes the journal at path with a sharded
+// supervision, as `asmp-sweep -shards N -resume` does.
+func superviseResume(t *testing.T, exp core.Experiment, path string, shards int, o Options) ([]byte, *core.Outcome, []ShardOutcome, error) {
+	t.Helper()
+	log, w, err := journal.Resume(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp.Journal = w
+	out, outs, serr := Supervise(exp, log, shards, o)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw, out, outs, serr
+}
 
 func TestPartitionBalancedAndDeterministic(t *testing.T) {
 	got := Partition(9, 4)
@@ -97,228 +139,197 @@ func TestPartitionBalancedAndDeterministic(t *testing.T) {
 	}
 }
 
-func TestRecoverCommitsAndAdoptsManifest(t *testing.T) {
-	exp := testExperiment(t)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "run.jsonl")
-
-	p, adopted, err := Recover(exp, 2, path, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if adopted {
-		t.Fatal("fresh recover claims adoption")
-	}
-	if len(p.Specs) != 2 || p.ManifestPath != path+".manifest" {
-		t.Fatalf("plan = %+v", p)
-	}
-	log, err := journal.Read(p.ManifestPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if log.Header == nil || log.Header.Shards != 2 || len(log.Shards) != 2 {
-		t.Fatalf("manifest header %+v, %d shard records", log.Header, len(log.Shards))
-	}
-
-	// A restarted supervisor with a different -shards flag adopts the
-	// committed plan: the manifest wins.
-	var notes []string
-	logf := func(f string, a ...any) { notes = append(notes, fmt.Sprintf(f, a...)) }
-	p2, adopted, err := Recover(exp, 4, path, nil, logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !adopted || len(p2.Specs) != 2 {
-		t.Fatalf("adopted=%v specs=%d, want adoption of the 2-shard plan", adopted, len(p2.Specs))
-	}
-	if len(notes) == 0 || !strings.Contains(notes[0], "ignoring -shards 4") {
-		t.Errorf("no note about the ignored flag: %v", notes)
-	}
-	for i := range p.Specs {
-		if p2.Specs[i] != p.Specs[i] {
-			t.Errorf("adopted spec %d = %+v, want %+v", i, p2.Specs[i], p.Specs[i])
-		}
-	}
-
-	// A different sweep at the same journal path is refused, typed.
-	other := exp
-	other.BaseSeed = 99
-	var refused *core.ResumeRefusedError
-	if _, _, err := Recover(other, 2, path, nil, nil); !errors.As(err, &refused) {
-		t.Fatalf("recover over foreign manifest: %v, want *core.ResumeRefusedError", err)
-	}
-
-	// A damaged manifest is set aside and recommitted.
-	raw, err := os.ReadFile(p.ManifestPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.SplitAfter(string(raw), "\n")
-	corrupt := lines[0] + "{broken}\n" + strings.Join(lines[2:], "")
-	if err := os.WriteFile(p.ManifestPath, []byte(corrupt), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	p3, adopted, err := Recover(exp, 3, path, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if adopted || len(p3.Specs) != 3 {
-		t.Fatalf("recover after damage: adopted=%v specs=%d, want fresh 3-shard plan", adopted, len(p3.Specs))
-	}
-	if _, err := os.Stat(p.ManifestPath + ".damaged"); err != nil {
-		t.Errorf("damaged manifest not set aside: %v", err)
-	}
-}
-
+// TestSuperviseMergeByteIdenticalAcrossShardCounts: the supervisor
+// merges its workers' streams into a journal byte-identical to the
+// sequential unsharded one, for every shard count — including more
+// shards than cells — and its Outcome is the unsharded sweep's.
 func TestSuperviseMergeByteIdenticalAcrossShardCounts(t *testing.T) {
 	exp := testExperiment(t)
 	dir := t.TempDir()
 	ref := referenceJournal(t, exp, dir)
+	want := exp.Run()
 
-	for _, k := range []int{1, 2, 4} {
+	for _, k := range []int{1, 2, 4, 12} {
 		path := filepath.Join(dir, fmt.Sprintf("run-%d.jsonl", k))
-		plan, _, err := Recover(exp, k, path, nil, nil)
+		raw, out, outs, err := superviseFresh(t, exp, path, k, Options{Run: inProcess(exp, ""), Sleep: noSleep})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("shards=%d: %v", k, err)
 		}
-		outcomes := Supervise(Options{Plan: plan, Run: inProcess(exp), Sleep: noSleep})
-		for _, o := range outcomes {
+		for _, o := range outs {
 			if o.Err != nil {
-				t.Fatalf("shards=%d: shard %s: %v", k, o.Spec.Range, o.Err)
+				t.Fatalf("shards=%d: shard %s: %v", k, o.Range, o.Err)
 			}
 		}
-		if _, err := Merge(exp, plan, outcomes, nil); err != nil {
-			t.Fatalf("shards=%d: merge: %v", k, err)
-		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
 		if string(raw) != string(ref) {
-			t.Errorf("shards=%d: merged journal differs from the unsharded reference", k)
+			t.Errorf("shards=%d: journal differs from the unsharded reference", k)
+		}
+		if out.JournalErr != nil {
+			t.Errorf("shards=%d: JournalErr = %v", k, out.JournalErr)
+		}
+		for c := range want.PerConfig {
+			for r, v := range want.PerConfig[c].Values {
+				if got := out.PerConfig[c].Values[r]; got != v {
+					t.Errorf("shards=%d: cell (%d,%d) = %v, want %v", k, c, r, got, v)
+				}
+			}
 		}
 	}
 }
 
+// TestSuperviseRespawnsTornWorkerAndConverges: a worker whose stream
+// tears mid-line is respawned over its undelivered remainder only —
+// the respawn's range starts past the delivered prefix — and the
+// journal still matches the reference.
 func TestSuperviseRespawnsTornWorkerAndConverges(t *testing.T) {
 	exp := testExperiment(t)
+	exp.Sequential = true // the tear lands at the same cell every run
 	dir := t.TempDir()
 	ref := referenceJournal(t, exp, dir)
-	path := filepath.Join(dir, "run.jsonl")
-	plan, _, err := Recover(exp, 2, path, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	// First attempt of every shard tears its journal mid-stream; the
-	// respawn resumes the valid prefix cleanly.
 	var mu sync.Mutex // Supervise runs the shards concurrently
-	attempts := make(map[int]int)
-	runner := func(spec Spec, resume bool) error {
+	ranges := make(map[int][]core.ShardRange)
+	runner := func(r core.ShardRange, stdout io.Writer) error {
 		mu.Lock()
-		attempts[spec.Range.Index]++
-		n := attempts[spec.Range.Index]
+		ranges[r.Index] = append(ranges[r.Index], r)
+		n := len(ranges[r.Index])
 		mu.Unlock()
 		var wrap journal.WrapSink
 		if n == 1 {
 			wrap = faultio.Plan{Tear: true, TearAt: 700}.Wrap()
 		}
-		return Worker(exp, spec.Range, spec.Journal, resume, wrap)
+		return Worker(exp, r, "", stdout, wrap)
 	}
-	r0, s0 := Stats()
-	outcomes := Supervise(Options{Plan: plan, Run: runner, Retries: 2, Sleep: noSleep})
-	for _, o := range outcomes {
-		if o.Err != nil {
-			t.Fatalf("shard %s: %v", o.Spec.Range, o.Err)
-		}
-		if o.Attempts != 2 || !o.Resumed {
-			t.Errorf("shard %s: attempts=%d resumed=%v, want a resumed respawn", o.Spec.Range, o.Attempts, o.Resumed)
-		}
-	}
-	r1, s1 := Stats()
-	if r1 != r0+2 || s1 != s0+2 {
-		t.Errorf("Stats delta = (%d,%d), want (2,2)", r1-r0, s1-s0)
-	}
-	if _, err := Merge(exp, plan, outcomes, nil); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
+	raw, _, outs, err := superviseFresh(t, exp, filepath.Join(dir, "run.jsonl"), 2, Options{Run: runner, Retries: 2, Sleep: noSleep})
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, o := range outs {
+		if o.Err != nil {
+			t.Fatalf("shard %s: %v", o.Range, o.Err)
+		}
+		rs := ranges[o.Range.Index]
+		if o.Attempts != 2 || len(rs) != 2 {
+			t.Fatalf("shard %s: attempts=%d, want a respawn", o.Range, o.Attempts)
+		}
+		if rs[0] != o.Range || rs[1].Lo <= o.Range.Lo || rs[1].Hi != o.Range.Hi {
+			t.Errorf("shard %s: attempt ranges %v, want the respawn to start past the delivered prefix", o.Range, rs)
+		}
+	}
 	if string(raw) != string(ref) {
-		t.Error("merged journal differs from the unsharded reference after respawns")
+		t.Error("journal differs from the unsharded reference after respawns")
 	}
 }
 
-func TestSuperviseSetsAsideDamagedShardJournal(t *testing.T) {
+// TestSuperviseStreamRefusesBadRecords: a record the worker could not
+// have produced fails the attempt and is never appended (the respawn
+// delivers the real one), as does a worker that exits 0 with cells
+// undelivered; a duplicate of a delivered cell is dropped without
+// failing the attempt.
+func TestSuperviseStreamRefusesBadRecords(t *testing.T) {
 	exp := testExperiment(t)
 	dir := t.TempDir()
 	ref := referenceJournal(t, exp, dir)
-	path := filepath.Join(dir, "run.jsonl")
-	plan, _, err := Recover(exp, 2, path, nil, nil)
+	refLines := strings.SplitAfter(string(ref), "\n")
+	header, cell0 := refLines[0], refLines[1] // cell0 is (0,0), in shard 0
+
+	// sealed streams one hand-made cell record after the header.
+	sealed := func(stdout io.Writer, c journal.Cell) error {
+		w := journal.Stream(stdout, nil)
+		if err := w.WriteHeader(exp.JournalHeader()); err != nil {
+			return err
+		}
+		return w.WriteCell(c)
+	}
+	first, err := journal.ParseLine([]byte(strings.TrimSpace(cell0)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A stale, mid-file-corrupted journal squats on shard 0's path.
-	if err := os.WriteFile(plan.Specs[0].Journal, []byte("not a journal\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	outcomes := Supervise(Options{Plan: plan, Run: inProcess(exp), Sleep: noSleep})
-	if outcomes[0].Err != nil {
-		t.Fatalf("shard 0: %v", outcomes[0].Err)
-	}
-	if len(outcomes[0].SetAside) != 1 {
-		t.Fatalf("shard 0 set aside %v, want one path", outcomes[0].SetAside)
-	}
-	if _, err := os.Stat(outcomes[0].SetAside[0]); err != nil {
-		t.Errorf("set-aside file missing: %v", err)
-	}
-	if _, err := Merge(exp, plan, outcomes, nil); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(raw) != string(ref) {
-		t.Error("merged journal differs from the unsharded reference after set-aside")
+	good := *first.(*journal.Cell)
+	wrongSeed := good
+	wrongSeed.Seed++
+	_, runs, _ := exp.Grid()
+	outside := good
+	outside.Cfg, outside.Run = 2, runs-1 // the grid's last cell: shard 1's
+	outside.Config = exp.Configs[2].String()
+	outside.Seed = core.RunSeed(exp.BaseSeed, 2, runs-1)
+
+	for _, tc := range []struct {
+		name     string
+		bad      func(r core.ShardRange, stdout io.Writer) error
+		attempts int
+	}{
+		{"checksum", func(_ core.ShardRange, stdout io.Writer) error {
+			_, err := io.WriteString(stdout, header+strings.Replace(cell0, `"run":0`, `"run":1`, 1))
+			return err
+		}, 2},
+		{"outside-range", func(_ core.ShardRange, stdout io.Writer) error { return sealed(stdout, outside) }, 2},
+		{"wrong-seed", func(_ core.ShardRange, stdout io.Writer) error { return sealed(stdout, wrongSeed) }, 2},
+		{"foreign-header", func(_ core.ShardRange, stdout io.Writer) error {
+			other := exp
+			other.BaseSeed++
+			w := journal.Stream(stdout, nil)
+			return w.WriteHeader(other.JournalHeader())
+		}, 2},
+		{"silent-exit", func(core.ShardRange, io.Writer) error { return nil }, 2},
+		{"duplicate", func(r core.ShardRange, stdout io.Writer) error {
+			if err := Worker(exp, r, "", stdout, nil); err != nil {
+				return err
+			}
+			_, err := io.WriteString(stdout, cell0)
+			return err
+		}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			spawned := 0
+			runner := func(r core.ShardRange, stdout io.Writer) error {
+				if r.Index == 0 {
+					mu.Lock()
+					spawned++
+					n := spawned
+					mu.Unlock()
+					if n == 1 {
+						return tc.bad(r, stdout)
+					}
+				}
+				return Worker(exp, r, "", stdout, nil)
+			}
+			raw, _, outs, err := superviseFresh(t, exp, filepath.Join(t.TempDir(), "run.jsonl"), 2, Options{Run: runner, Retries: 1, Sleep: noSleep})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if o := outs[0]; o.Err != nil || o.Attempts != tc.attempts {
+				t.Fatalf("shard 0: err=%v attempts=%d, want success after %d attempt(s)", o.Err, o.Attempts, tc.attempts)
+			}
+			if string(raw) != string(ref) {
+				t.Error("journal differs from the unsharded reference: a refused or duplicate record was appended")
+			}
+		})
 	}
 }
 
 func TestRetryBudgetExhaustionDegradesToErrCells(t *testing.T) {
 	exp := testExperiment(t)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "run.jsonl")
-	plan, _, err := Recover(exp, 2, path, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Shard 1 dies instantly on every attempt, before writing a byte.
-	runner := func(spec Spec, resume bool) error {
-		if spec.Range.Index == 1 {
+	runner := func(r core.ShardRange, stdout io.Writer) error {
+		if r.Index == 1 {
 			return errors.New("simulated crash loop")
 		}
-		return Worker(exp, spec.Range, spec.Journal, resume, nil)
+		return Worker(exp, r, "", stdout, nil)
 	}
-	outcomes := Supervise(Options{Plan: plan, Run: runner, Retries: 1, Sleep: noSleep})
-	if outcomes[0].Err != nil {
-		t.Fatalf("healthy shard failed: %v", outcomes[0].Err)
+	_, out, outs, err := superviseFresh(t, exp, filepath.Join(t.TempDir(), "run.jsonl"), 2, Options{Run: runner, Retries: 1, Sleep: noSleep})
+	if err != nil {
+		t.Fatalf("supervision must complete despite the dead shard: %v", err)
 	}
-	if outcomes[1].Err == nil || outcomes[1].Attempts != 2 {
-		t.Fatalf("crash-loop shard: err=%v attempts=%d, want exhausted budget of 2", outcomes[1].Err, outcomes[1].Attempts)
+	if outs[0].Err != nil {
+		t.Fatalf("healthy shard failed: %v", outs[0].Err)
+	}
+	if outs[1].Err == nil || outs[1].Attempts != 2 {
+		t.Fatalf("crash-loop shard: err=%v attempts=%d, want exhausted budget of 2", outs[1].Err, outs[1].Attempts)
 	}
 
-	log, err := Merge(exp, plan, outcomes, nil)
-	if err != nil {
-		t.Fatalf("merge must complete despite the dead shard: %v", err)
-	}
-	out, err := exp.Replay(log)
-	if err != nil {
-		t.Fatal(err)
-	}
 	_, runs, _ := exp.Grid()
-	bad := plan.Specs[1].Range
+	bad := outs[1].Range
 	for c := range out.PerConfig {
 		for r := 0; r < runs; r++ {
 			err := out.PerConfig[c].Errs[r]
@@ -341,31 +352,27 @@ func TestRetryBudgetExhaustionDegradesToErrCells(t *testing.T) {
 // TestSuperviseCancelMidAttemptTypesError: when the cancel signal
 // fires while an attempt is in flight and the worker dies with an
 // untyped error (a process worker killed by the shared signal), the
-// outcome must still match core.ErrCancelled — runSharded's refusal to
-// merge and its 130 exit with the resume hint depend on it.
+// supervision must still end in an error matching core.ErrCancelled —
+// the CLI's 130 exit with the resume hint depends on it.
 func TestSuperviseCancelMidAttemptTypesError(t *testing.T) {
 	exp := testExperiment(t)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "run.jsonl")
-	plan, _, err := Recover(exp, 1, path, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cancel := make(chan struct{})
-	runner := func(spec Spec, resume bool) error {
+	runner := func(core.ShardRange, io.Writer) error {
 		close(cancel)
 		return errors.New("signal: interrupt") // untyped, like a raw *exec.ExitError
 	}
-	outcomes := Supervise(Options{Plan: plan, Run: runner, Retries: 3, Cancel: cancel, Sleep: noSleep})
-	o := outcomes[0]
-	if o.Attempts != 1 {
+	_, out, outs, err := superviseFresh(t, exp, filepath.Join(t.TempDir(), "run.jsonl"), 1, Options{Run: runner, Retries: 3, Cancel: cancel, Sleep: noSleep})
+	if out != nil {
+		t.Fatal("a cancelled supervision returned an Outcome")
+	}
+	if o := outs[0]; o.Attempts != 1 {
 		t.Fatalf("attempts = %d, want 1 (no respawn after cancel)", o.Attempts)
 	}
-	if !errors.Is(o.Err, core.ErrCancelled) {
-		t.Fatalf("outcome err = %v, want an error matching core.ErrCancelled", o.Err)
+	if !errors.Is(err, core.ErrCancelled) {
+		t.Fatalf("err = %v, want an error matching core.ErrCancelled", err)
 	}
-	if !strings.Contains(o.Err.Error(), "signal: interrupt") {
-		t.Errorf("outcome err %q drops the attempt's own error", o.Err)
+	if !strings.Contains(err.Error(), "signal: interrupt") {
+		t.Errorf("err %q drops the attempt's own error", err)
 	}
 }
 
@@ -375,7 +382,7 @@ func TestSuperviseCancelMidAttemptTypesError(t *testing.T) {
 // the untyped *exec.ExitError.
 func TestExecRunnerTypesCancelledWorkerExit(t *testing.T) {
 	dir := t.TempDir()
-	spec := Spec{Range: core.ShardRange{Index: 0, Of: 1, Lo: 0, Hi: 1}, Journal: filepath.Join(dir, "s0.jsonl")}
+	r := core.ShardRange{Index: 0, Of: 1, Lo: 0, Hi: 1}
 	for _, tc := range []struct {
 		code      int
 		cancelled bool
@@ -389,7 +396,7 @@ func TestExecRunnerTypesCancelledWorkerExit(t *testing.T) {
 		if err := os.WriteFile(bin, []byte(script), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		err := ExecRunner(bin, nil, io.Discard)(spec, false)
+		err := ExecRunner(bin, nil, io.Discard)(r, io.Discard)
 		if err == nil {
 			t.Fatalf("exit %d: runner returned nil", tc.code)
 		}
@@ -399,68 +406,120 @@ func TestExecRunnerTypesCancelledWorkerExit(t *testing.T) {
 	}
 }
 
-// TestMergeRefusesSuccessfulShardMissingCells: a readable shard journal
-// that is short an in-range cell behind a shard reporting success is
-// the same contradiction as an unreadable one — it must surface as a
-// merge error, not silently degrade to ERR cells.
-func TestMergeRefusesSuccessfulShardMissingCells(t *testing.T) {
+// TestSuperviseSkipsCompleteJournal: resuming a journal that already
+// records every cell spawns no worker and appends nothing.
+func TestSuperviseSkipsCompleteJournal(t *testing.T) {
 	exp := testExperiment(t)
 	dir := t.TempDir()
+	ref := referenceJournal(t, exp, dir)
 	path := filepath.Join(dir, "run.jsonl")
-	plan, _, err := Recover(exp, 2, path, nil, nil)
+	if err := os.WriteFile(path, ref, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	spawned := 0
+	runner := func(r core.ShardRange, stdout io.Writer) error {
+		spawned++
+		return Worker(exp, r, path, stdout, nil)
+	}
+	raw, out, outs, err := superviseResume(t, exp, path, 2, Options{Run: runner, Sleep: noSleep})
 	if err != nil {
 		t.Fatal(err)
 	}
-	outcomes := Supervise(Options{Plan: plan, Run: inProcess(exp), Sleep: noSleep})
-	for _, o := range outcomes {
-		if o.Err != nil {
-			t.Fatalf("shard %s: %v", o.Spec.Range, o.Err)
+	if spawned != 0 {
+		t.Errorf("resume spawned %d workers over a complete journal", spawned)
+	}
+	for _, o := range outs {
+		if o.Err != nil || o.Attempts != 0 {
+			t.Errorf("shard %s: %+v, want zero attempts", o.Range, o)
 		}
 	}
-	// Drop shard 0's last line: still a valid journal, one cell short.
-	raw, err := os.ReadFile(plan.Specs[0].Journal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.SplitAfter(string(raw), "\n")
-	if len(lines) < 3 {
-		t.Fatalf("shard journal too short: %d lines", len(lines))
-	}
-	short := strings.Join(lines[:len(lines)-2], "")
-	if err := os.WriteFile(plan.Specs[0].Journal, []byte(short), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = Merge(exp, plan, outcomes, nil)
-	if err == nil || !strings.Contains(err.Error(), "reported success") ||
-		!strings.Contains(err.Error(), plan.Specs[0].Range.String()) {
-		t.Fatalf("merge over the shortened journal: %v, want a success/journal contradiction naming shard %s",
-			err, plan.Specs[0].Range)
+	if string(raw) != string(ref) || len(out.Errors()) != 0 {
+		t.Error("resume over a complete journal changed it or its report")
 	}
 }
 
-func TestSuperviseSkipsCompleteShardJournal(t *testing.T) {
+// TestSuperviseResumeMatchesSequentialResume: a sharded resume splits
+// exactly the cells core.Resume would execute — missing ones and ones
+// whose last record failed — and appends the bytes a sequential resume
+// of the same journal appends, for any shard count.
+func TestSuperviseResumeMatchesSequentialResume(t *testing.T) {
 	exp := testExperiment(t)
 	dir := t.TempDir()
-	path := filepath.Join(dir, "run.jsonl")
-	plan, _, err := Recover(exp, 2, path, nil, nil)
+	ref := referenceJournal(t, exp, dir)
+	lines := strings.SplitAfter(string(ref), "\n")
+	// Keep the header and five cells, then record a failure for cell
+	// (0,1): pending are (0,1) and the last four cells.
+	prefixPath := filepath.Join(dir, "prefix.jsonl")
+	if err := os.WriteFile(prefixPath, []byte(strings.Join(lines[:6], "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, jw, err := journal.Resume(prefixPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// First supervision completes both shards.
-	Supervise(Options{Plan: plan, Run: inProcess(exp), Sleep: noSleep})
-	// A restarted supervisor finds both journals complete: no spawns.
-	spawned := 0
-	runner := func(spec Spec, resume bool) error {
-		spawned++
-		return Worker(exp, spec.Range, spec.Journal, resume, nil)
+	configs, _, _ := exp.Grid()
+	if err := jw.WriteCell(journal.Cell{Config: configs[0].String(), Cfg: 0, Run: 1,
+		Seed: core.RunSeed(exp.BaseSeed, 0, 1), Err: "injected failure"}); err != nil {
+		t.Fatal(err)
 	}
-	outcomes := Supervise(Options{Plan: plan, Run: runner, Sleep: noSleep})
-	if spawned != 0 {
-		t.Errorf("restart spawned %d workers over complete journals", spawned)
+	if err := jw.Close(); err != nil {
+		t.Fatal(err)
 	}
-	for _, o := range outcomes {
-		if o.Err != nil || o.Attempts != 0 {
-			t.Errorf("shard %s: %+v, want zero attempts", o.Spec.Range, o)
+	prefix, err := os.ReadFile(prefixPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The sequential resume the sharded ones must match.
+	seqPath := filepath.Join(dir, "seq.jsonl")
+	if err := os.WriteFile(seqPath, prefix, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	seqLog, seqW, err := journal.Resume(seqPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := exp
+	seq.Sequential = true
+	seq.Journal = seqW
+	if _, err := seq.Resume(seqLog); err != nil {
+		t.Fatal(err)
+	}
+	if err := seqW.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(seqPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, k := range []int{1, 2, 3} {
+		path := filepath.Join(dir, fmt.Sprintf("run-%d.jsonl", k))
+		if err := os.WriteFile(path, prefix, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		executed := 0
+		runner := func(r core.ShardRange, stdout io.Writer) error {
+			var sent strings.Builder
+			err := Worker(exp, r, path, io.MultiWriter(stdout, &sent), nil)
+			mu.Lock()
+			executed += strings.Count(sent.String(), "\n") - 1 // less the header
+			mu.Unlock()
+			return err
+		}
+		raw, out, _, err := superviseResume(t, exp, path, k, Options{Run: runner, Sleep: noSleep})
+		if err != nil {
+			t.Fatalf("shards=%d: %v", k, err)
+		}
+		if string(raw) != string(want) {
+			t.Errorf("shards=%d: resumed journal differs from the sequential resume", k)
+		}
+		if len(out.Errors()) != 0 {
+			t.Errorf("shards=%d: resumed report carries errors: %v", k, out.Errors())
+		}
+		if executed != 5 {
+			t.Errorf("shards=%d: workers executed %d cells, want only the 5 pending ones", k, executed)
 		}
 	}
 }

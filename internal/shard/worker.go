@@ -1,11 +1,11 @@
 package shard
 
-// The worker side: one process executes one shard of the sweep as a
-// shard-scoped experiment (core.ShardRange), journaling only its cells.
-// Workers are spawned by the supervisor through a Runner; ExecRunner is
-// the production implementation (re-exec the binary with the hidden
-// -shardworker flag), and tests substitute in-process or fault-injected
-// runners.
+// The worker side: one process executes one shard attempt as a
+// shard-scoped experiment (core.ShardRange) and streams its records to
+// the supervisor over stdout. Workers are spawned through a Runner;
+// ExecRunner is the production implementation (re-exec the binary with
+// the hidden -shardworker flag), and tests substitute in-process or
+// fault-injected runners.
 
 import (
 	"errors"
@@ -21,82 +21,50 @@ import (
 	"asmp/internal/resultcache"
 )
 
-// IncompleteError reports a worker whose sweep finished but whose
-// journal did not: an append or close failed, so the file cannot be
-// trusted to hold every cell. The supervisor treats it like a crash
-// (the journal's valid prefix resumes fine).
-type IncompleteError struct {
-	// Path is the shard journal.
-	Path string
-	// Err is the underlying journal failure.
-	Err error
-}
-
-func (e *IncompleteError) Error() string {
-	return fmt.Sprintf("shard: journal %s is incomplete: %v", e.Path, e.Err)
-}
-
-func (e *IncompleteError) Unwrap() error { return e.Err }
-
-// Worker runs one shard to completion: the experiment restricted to r,
-// journaled at journalPath (resumed when resume is set, created fresh
-// otherwise). Per-cell failures are results, not worker failures — the
-// merge renders them as ERR cells — so Worker only errors when the
-// shard's journal cannot be trusted (typed refusals and DamagedError
-// pass through, journal write failures become *IncompleteError) or the
-// sweep was cancelled (an error matching core.ErrCancelled).
-func Worker(exp core.Experiment, r core.ShardRange, journalPath string, resume bool, wrap journal.WrapSink) error {
+// Worker runs one shard attempt: the experiment restricted to r, its
+// records written to stdout as the sealed lines a journal holds — the
+// sweep's header, then one line per completed cell. With resumeFrom
+// set it first reads that journal (read-only: the supervisor owns it)
+// and skips the cells it holds a success for, exactly as core.Resume
+// does. Per-cell failures are records, not worker failures; Worker
+// errors when the journal is refused, the stream breaks, or the sweep
+// is cancelled (an error matching core.ErrCancelled). wrap decorates
+// the stream's sink (nil = none), for fault injection.
+func Worker(exp core.Experiment, r core.ShardRange, resumeFrom string, stdout io.Writer, wrap journal.WrapSink) error {
 	configs, runs, _ := exp.Grid()
 	if n := len(configs) * runs; r.Hi > n {
 		return fmt.Errorf("shard: range %s outside the %d-cell grid", r, n)
 	}
-	exp.Shard = &r
-
-	var out *core.Outcome
-	if resume {
-		log, w, err := journal.ResumeVia(journalPath, wrap)
-		if err != nil {
+	h := exp.JournalHeader()
+	log := &journal.Log{Header: &h}
+	if resumeFrom != "" {
+		var err error
+		if log, err = journal.Read(resumeFrom); err != nil {
 			return err
-		}
-		exp.Journal = w
-		out, err = exp.Resume(log)
-		if err != nil {
-			// The typed refusal is the story; a close failure on this
-			// already-abandoned journal adds nothing.
-			if cerr := w.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-			return err
-		}
-		if err := w.Close(); err != nil {
-			return &IncompleteError{Path: journalPath, Err: err}
-		}
-	} else {
-		w, err := journal.CreateVia(journalPath, wrap)
-		if err != nil {
-			return err
-		}
-		exp.Journal = w
-		out = exp.Run()
-		if err := w.Close(); err != nil {
-			return &IncompleteError{Path: journalPath, Err: err}
 		}
 	}
-	if out.JournalErr != nil {
-		return &IncompleteError{Path: journalPath, Err: out.JournalErr}
+	w := journal.Stream(stdout, wrap)
+	if err := w.WriteHeader(h); err != nil {
+		return err
+	}
+	exp.Journal = w
+	exp.Shard = &r
+	out, err := exp.Resume(log)
+	if err != nil {
+		return err
 	}
 	for _, cr := range out.PerConfig {
 		if cr.Cancelled() > 0 {
 			return fmt.Errorf("shard %s: %w", r, core.ErrCancelled)
 		}
 	}
-	return nil
+	return out.JournalErr
 }
 
-// Runner spawns one attempt of one shard and blocks until it exits; a
-// crashed or failed worker is a non-nil error. resume tells the worker
-// to resume spec.Journal's valid prefix instead of starting fresh.
-type Runner func(spec Spec, resume bool) error
+// Runner spawns one worker attempt over r, copies its stdout into
+// stdout, and blocks until it exits; a crashed or failed worker is a
+// non-nil error.
+type Runner func(r core.ShardRange, stdout io.Writer) error
 
 // WorkerEnv marks a process as a re-exec'd shard worker; ExecRunner
 // sets it so test binaries can divert into worker mode from TestMain.
@@ -106,8 +74,8 @@ const WorkerEnv = "ASMP_SHARD_EXEC"
 // the shell convention — the same code the CLI uses for an interrupted
 // sweep). ExecRunner maps it back to an error wrapping
 // core.ErrCancelled, so cancellation stays typed across the exec
-// boundary and the supervisor's contract (no respawn, no merge, exit
-// with the resume hint) holds for process workers exactly as it does
+// boundary and the supervisor's contract (no respawn, exit with the
+// resume hint) holds for process workers exactly as it does
 // for in-process ones.
 const ExitCancelled = 130
 
@@ -132,19 +100,15 @@ func (l *lockedWriter) Write(p []byte) (int, error) {
 func SyncWriter(w io.Writer) io.Writer { return &lockedWriter{w: w} }
 
 // ExecRunner returns the production Runner: re-exec bin with the
-// sweep's own arguments plus the shard's journal and the hidden
-// -shardworker flag. The workers' stderr streams are forwarded through
-// one lock (supervision messages interleave by line, never by byte);
-// their stdout — the per-shard report nobody reads — is discarded.
+// sweep's own arguments plus the hidden -shardworker flag. The
+// worker's stdout is its record stream; os/exec copies it on a
+// goroutine of its own, so the worker never waits on the supervisor's
+// fsyncs. The workers' stderr streams are forwarded through one lock
+// (supervision messages interleave by line, never by byte).
 func ExecRunner(bin string, baseArgs []string, stderr io.Writer) Runner {
 	shared := &lockedWriter{w: stderr}
-	return func(spec Spec, resume bool) error {
-		args := append([]string{}, baseArgs...)
-		args = append(args, "-journal", spec.Journal)
-		if resume {
-			args = append(args, "-resume")
-		}
-		args = append(args, "-shardworker", spec.Range.String())
+	return func(r core.ShardRange, stdout io.Writer) error {
+		args := append(append([]string{}, baseArgs...), "-shardworker", r.String())
 		cmd := exec.Command(bin, args...)
 		// Export the supervisor's disk result-cache directory so every
 		// worker — first spawns and post-crash respawns alike — shares
@@ -155,12 +119,12 @@ func ExecRunner(bin string, baseArgs []string, stderr io.Writer) Runner {
 		cmd.Env = append(os.Environ(),
 			WorkerEnv+"=1",
 			resultcache.EnvDir+"="+core.ResultCacheDir())
-		cmd.Stdout = io.Discard
+		cmd.Stdout = stdout
 		cmd.Stderr = shared
 		err := cmd.Run()
 		var ee *exec.ExitError
 		if errors.As(err, &ee) && ee.ExitCode() == ExitCancelled {
-			return fmt.Errorf("shard %s: worker exited %d: %w", spec.Range, ExitCancelled, core.ErrCancelled)
+			return fmt.Errorf("shard %s: worker exited %d: %w", r, ExitCancelled, core.ErrCancelled)
 		}
 		return err
 	}
