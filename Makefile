@@ -11,16 +11,14 @@
 #   make test-shard   # shard-supervision chaos matrix, SIGKILLed workers (DESIGN.md §11)
 #   make test-cache   # result-cache corruption matrix, every byte and bit (DESIGN.md §12)
 #   make serve-smoke  # asmp-serve end-to-end: coalesce, drain, cache-warm restart (DESIGN.md §10)
-#   make fuzz         # fuzz the journal line decoder for FUZZTIME (default 10s)
-#   make bench        # one pass over every figure/ablation benchmark
-#   make bench-hot    # the engine hot-path benchmarks (see BENCH_4.json)
-#   make bench-cache  # cold- vs warm-cache execution benchmarks (see BENCH_9.json)
-#   make bench-policies # per-policy sweep wall-clock benchmarks (see BENCH_10.json)
+#   make fuzz         # fuzz the journal line and config parsers for FUZZTIME each (default 10s)
 #   make golden       # regenerate the committed seed-1 artifacts
+#
+# Wall-clock benchmarks live in bench/ (`sh bench/run.sh`, see BENCHMARK.json).
 
 GO ?= go
 
-.PHONY: check vet lint lint-fix test test-race test-crash test-shard test-cache serve-smoke fuzz bench bench-hot bench-cache bench-policies golden
+.PHONY: check vet lint lint-fix test test-race test-crash test-shard test-cache serve-smoke fuzz golden
 
 check: vet lint test
 
@@ -95,38 +93,25 @@ test-cache:
 serve-smoke:
 	$(GO) test -v -run TestServeSmoke ./cmd/asmp-serve
 
-# Fuzz the journal line decoder (internal/journal FuzzParseLine), which
-# reads journal files and the record streams shard workers send their
-# supervisor. Seeded from results/sample-run.jsonl and the reader's
-# test shapes; a crasher lands in internal/journal/testdata/fuzz and
-# then runs with every `go test`.
+# Fuzz the two parsers that read outside input, FUZZTIME each (`go test
+# -fuzz` takes one target per invocation):
+#   - the journal line decoder (internal/journal FuzzParseLine), which
+#     reads journal files and the record streams shard workers send
+#     their supervisor; seeded from results/sample-run.jsonl and the
+#     reader's test shapes;
+#   - the machine-configuration parser (internal/cpu FuzzParseConfig),
+#     which reads asmp-sweep -configs, asmp-trace and POST /v1/run;
+#     seeded from the paper's configurations and the parse tests.
+# A crasher lands in the package's testdata/fuzz and then runs with
+# every `go test`.
 FUZZTIME ?= 10s
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzParseLine -fuzztime $(FUZZTIME) ./internal/journal
-
-bench:
-	$(GO) test -bench=. -benchtime=1x -benchmem .
-
-# The three benchmarks the engine hot-path work is judged against
-# (BENCH_4.json holds the committed before/after record). CI runs this
-# target and compares against the baseline with benchstat.
-bench-hot:
-	$(GO) test -bench 'Fig0(1a|2a|4a)' -benchmem .
-
-# The disk result-cache benchmarks (BENCH_9.json holds the committed
-# record): cold simulate-and-publish vs warm verified-hit per cell, and
-# a full figure regenerated cold vs warm.
-bench-cache:
-	$(GO) test -bench 'Cache' -benchmem ./internal/resultcache .
-
-# The policy-zoo sweep benchmarks (BENCH_10.json holds the committed
-# record): per-policy cold sweep wall-clock over the nine
-# configurations, plus the same column under a dynamic duty trace.
-bench-policies:
-	$(GO) test -bench 'ExtensionPolicySweep' -benchtime=1x -benchmem .
+	$(GO) test -run '^$$' -fuzz '^FuzzParseLine$$' -fuzztime $(FUZZTIME) ./internal/journal
+	$(GO) test -run '^$$' -fuzz '^FuzzParseConfig$$' -fuzztime $(FUZZTIME) ./internal/cpu
 
 golden:
 	$(GO) run ./cmd/asmp-run -all > results/figures-full.txt
 	$(GO) run ./cmd/asmp-run -fig fault -out results > /dev/null
 	$(GO) run ./cmd/asmp-run -fig policies -out results > /dev/null
 	$(GO) run ./cmd/asmp-run -fig policies-dyn -out results > /dev/null
+	$(GO) run ./cmd/asmp-run -fig ablation -out results > /dev/null

@@ -1,9 +1,9 @@
 package main
 
-// The byte-identical proof for figure regeneration (ISSUE 9): a cold
-// cache, a warm cache and -no-cache produce the same figure bytes on
-// stdout, and the warm run is served entirely from verified disk hits.
-// BENCH_9.json carries the full -all timing version of this claim; the
+// The byte-identical proof for figure regeneration: a cold cache, a
+// warm cache and -no-cache produce the same figure bytes on stdout, and
+// the warm run is served entirely from verified disk hits. The
+// benchmark's regen-warm workload (bench/) times the warm path; the
 // test uses -fig 4a -quick (the cheapest figure whose cells run through
 // core.Execute — micro builds its sim.Env by hand and bypasses every
 // cache) so it stays in tier 1.

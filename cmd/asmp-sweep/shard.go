@@ -25,7 +25,7 @@ func runWorker(exp core.Experiment, r core.ShardRange, resumeFrom string, wrap j
 	err := shard.Worker(exp, r, resumeFrom, stdout, wrap)
 	// Each worker reports its own disk-cache counters; the supervisor
 	// forwards the line, so a sharded sweep's stderr shows exactly which
-	// shards were served cross-process hits (BENCH_9.json records this).
+	// shards were served cross-process hits.
 	logCacheStats(stderr, fmt.Sprintf("asmp-sweep: shard %s", r))
 	if err == nil {
 		return 0

@@ -26,6 +26,11 @@ const BaseHz = 2.8e9
 // rejecting typo-sized configurations before they allocate a machine.
 const MaxCores = 64
 
+// maxConfigLen bounds ParseConfig's input, which arrives from flags and
+// request bodies. Every sensible configuration is far shorter; longer
+// input is refused before any work and without being echoed back.
+const maxConfigLen = 64
+
 // DutySteps are the duty-cycle settings supported by the clock-modulation
 // hardware (plus full speed), per the paper's methodology section.
 var DutySteps = []float64{0.125, 0.25, 0.375, 0.5, 0.635, 0.75, 0.875, 1.0}
@@ -131,6 +136,9 @@ func (c Config) String() string {
 // "4f-0s", "2f-2s/8" and the hyphen-less variant "2f2s/8" that appears in
 // some of the paper's axis labels.
 func ParseConfig(s string) (Config, error) {
+	if len(s) > maxConfigLen {
+		return Config{}, fmt.Errorf("cpu: configuration of %d bytes is too long; at most %d are supported", len(s), maxConfigLen)
+	}
 	orig := s
 	s = strings.ToLower(strings.TrimSpace(s))
 	s = strings.ReplaceAll(s, "-", "")
@@ -166,8 +174,13 @@ func ParseConfig(s string) (Config, error) {
 	if cfg.Fast < 0 || cfg.Slow < 0 || cfg.Fast+cfg.Slow == 0 {
 		return Config{}, fmt.Errorf("cpu: configuration %q has no cores", orig)
 	}
-	if n := cfg.Fast + cfg.Slow; n > MaxCores {
-		return Config{}, fmt.Errorf("cpu: configuration %q has %d cores; at most %d are supported", orig, n, MaxCores)
+	// Bound each count before summing: two huge counts would wrap the
+	// sum negative and slip past the limit.
+	if cfg.Fast > MaxCores || cfg.Slow > MaxCores || cfg.Fast+cfg.Slow > MaxCores {
+		return Config{}, fmt.Errorf("cpu: configuration %q has too many cores; at most %d are supported", orig, MaxCores)
+	}
+	if cfg.Slow == 0 {
+		cfg.Scale = 1 // a scale without slow cores means nothing; String drops it
 	}
 	return cfg, nil
 }

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -50,19 +51,32 @@ func TestMachineAggregates(t *testing.T) {
 
 func approx(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
 
+// parseCases and parseErrors are ParseConfig's accepted and refused
+// inputs; FuzzParseConfig seeds its corpus from both.
+var parseCases = []struct {
+	in   string
+	want Config
+}{
+	{"4f-0s", Config{4, 0, 1}},
+	{"4f-0s/4", Config{4, 0, 1}},
+	{"2f-2s/8", Config{2, 2, 8}},
+	{"2f2s/8", Config{2, 2, 8}},
+	{"0f-4s/4", Config{0, 4, 4}},
+	{" 3F-1S/4 ", Config{3, 1, 4}},
+	{"1f-3s/8", Config{1, 3, 8}},
+	{"64f-0s", Config{64, 0, 1}},
+}
+
+var parseErrors = []string{"", "4f", "f-2s/8", "2f-2s", "2f-2s/", "2f-2s/0", "2f-2s/x", "0f-0s", "2f-2s8", "xfys/2",
+	"65f-0s", "33f-32s/8",
+	// The counts wrap negative when summed.
+	"9223372036854775807f-1s/8",
+	"9223372036854775807f-9223372036854775807s/8",
+	strings.Repeat("0", 60) + "4f-0s",
+}
+
 func TestParseConfig(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Config
-	}{
-		{"4f-0s", Config{4, 0, 1}},
-		{"2f-2s/8", Config{2, 2, 8}},
-		{"2f2s/8", Config{2, 2, 8}},
-		{"0f-4s/4", Config{0, 4, 4}},
-		{" 3F-1S/4 ", Config{3, 1, 4}},
-		{"1f-3s/8", Config{1, 3, 8}},
-	}
-	for _, c := range cases {
+	for _, c := range parseCases {
 		got, err := ParseConfig(c.in)
 		if err != nil {
 			t.Errorf("ParseConfig(%q) error: %v", c.in, err)
@@ -75,8 +89,7 @@ func TestParseConfig(t *testing.T) {
 }
 
 func TestParseConfigErrors(t *testing.T) {
-	bad := []string{"", "4f", "f-2s/8", "2f-2s", "2f-2s/", "2f-2s/0", "2f-2s/x", "0f-0s", "2f-2s8", "xfys/2"}
-	for _, in := range bad {
+	for _, in := range parseErrors {
 		if _, err := ParseConfig(in); err == nil {
 			t.Errorf("ParseConfig(%q) succeeded, want error", in)
 		}

@@ -193,10 +193,15 @@ func standardExperiment(o Options, name string, w workload.Workload, runs int, p
 // o.Cancel fires the cell panics *sim.CancelledError (core.Execute's
 // contract); pmap carries that to the figure's caller.
 func runCell(o Options, w workload.Workload, cfg cpu.Config, policy sched.Policy, seed uint64) workload.Result {
+	return execute(o, w, cfg, sched.Defaults(policy), seed)
+}
+
+// execute is runCell with explicit scheduler options.
+func execute(o Options, w workload.Workload, cfg cpu.Config, opt sched.Options, seed uint64) workload.Result {
 	return core.Execute(core.RunSpec{
 		Workload: w,
 		Config:   cfg,
-		Sched:    sched.Defaults(policy),
+		Sched:    opt,
 		Seed:     seed,
 		Cancel:   o.Cancel,
 	})

@@ -9,7 +9,7 @@ func quickOpt() Options { return Options{Quick: true, Seed: 1} }
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"1a", "1b", "2a", "2b", "3a", "3b", "4a", "4b", "5a", "5b",
-		"6a", "6b", "7a", "7b", "8a", "8b", "9a", "9b", "10", "conj", "energy", "fault", "micro",
+		"6a", "6b", "7a", "7b", "8a", "8b", "9a", "9b", "10", "ablation", "conj", "energy", "fault", "micro",
 		"policies", "policies-dyn", "table1"}
 	for _, id := range want {
 		if _, ok := Get(id); !ok {

@@ -78,14 +78,16 @@ func TestGoldenFaultArtifact(t *testing.T) {
 }
 
 // TestGoldenPoliciesArtifact regenerates the policy-zoo extension
-// figures at full resolution and requires byte-identical output to
-// their committed seed-1 artifacts — the drift gate for the three
-// related-work policies and the dynamic-asymmetry duty traces:
+// figures and the ablation figure at full resolution and requires
+// byte-identical output to their committed seed-1 artifacts — the drift
+// gate for the three related-work policies, the dynamic-asymmetry duty
+// traces and the eight design-choice ablations:
 //
 //	go run ./cmd/asmp-run -fig policies -out results
 //	go run ./cmd/asmp-run -fig policies-dyn -out results
+//	go run ./cmd/asmp-run -fig ablation -out results
 func TestGoldenPoliciesArtifact(t *testing.T) {
-	for _, id := range []string{"policies", "policies-dyn"} {
+	for _, id := range []string{"policies", "policies-dyn", "ablation"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			path := filepath.Join(filepath.Dir(goldenPath(t)), "fig-"+id+".txt")
