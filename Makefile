@@ -11,7 +11,7 @@
 #   make test-shard   # shard-supervision chaos matrix, SIGKILLed workers (DESIGN.md §11)
 #   make test-cache   # result-cache corruption matrix, every byte and bit (DESIGN.md §12)
 #   make serve-smoke  # asmp-serve end-to-end: coalesce, drain, cache-warm restart (DESIGN.md §10)
-#   make fuzz         # fuzz the journal line and config parsers for FUZZTIME each (default 10s)
+#   make fuzz         # fuzz the four parsers of outside input for FUZZTIME each (default 10s)
 #   make golden       # regenerate the committed seed-1 artifacts
 #
 # Wall-clock benchmarks live in bench/ (`sh bench/run.sh`, see BENCHMARK.json).
@@ -93,21 +93,31 @@ test-cache:
 serve-smoke:
 	$(GO) test -v -run TestServeSmoke ./cmd/asmp-serve
 
-# Fuzz the two parsers that read outside input, FUZZTIME each (`go test
-# -fuzz` takes one target per invocation):
+# Fuzz the four parsers that read outside input, FUZZTIME each (`go
+# test -fuzz` takes one target per invocation):
 #   - the journal line decoder (internal/journal FuzzParseLine), which
 #     reads journal files and the record streams shard workers send
 #     their supervisor; seeded from results/sample-run.jsonl and the
 #     reader's test shapes;
+#   - the result-cache entry decoder (internal/resultcache
+#     FuzzDecodeEntry), which reads every entry a lookup finds on disk;
+#     seeded from sealed entries with non-finite and -0 metrics, torn
+#     halves, a newer schema and a flipped bit;
 #   - the machine-configuration parser (internal/cpu FuzzParseConfig),
 #     which reads asmp-sweep -configs, asmp-trace and POST /v1/run;
-#     seeded from the paper's configurations and the parse tests.
+#     seeded from the paper's configurations and the parse tests;
+#   - the fault-plan parser (internal/fault FuzzParsePlan), which reads
+#     -fault and POST /v1/run; seeded from the parse tests and the
+#     wave@/walk@/stairs@ generators, and held to the String round trip
+#     the run identity is built from.
 # A crasher lands in the package's testdata/fuzz and then runs with
 # every `go test`.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseLine$$' -fuzztime $(FUZZTIME) ./internal/journal
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime $(FUZZTIME) ./internal/resultcache
 	$(GO) test -run '^$$' -fuzz '^FuzzParseConfig$$' -fuzztime $(FUZZTIME) ./internal/cpu
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime $(FUZZTIME) ./internal/fault
 
 golden:
 	$(GO) run ./cmd/asmp-run -all > results/figures-full.txt

@@ -6,6 +6,9 @@
 // torn line of the crash) by truncating it; corruption *before* valid
 // records is refused — that is damage, not a crash signature.
 //
+// Seal and Sealed are the one codec for checksummed lines; the result
+// cache seals its entries with it too. Sealed checks the stored bytes.
+//
 // Three record kinds exist, all schema-versioned:
 //
 //   - "header": the sweep identity (workload, configs, policy, seeds),
@@ -25,6 +28,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -98,7 +102,7 @@ func (e *DamagedError) Error() string {
 // (encoding/json rejects the bare tokens), finite values encode as
 // plain JSON numbers, byte-identical to an untyped float64. Without
 // this, one NaN metric in an otherwise successful run would fail
-// json.Marshal inside seal and sticky-kill the Writer — silently ending
+// json.Marshal inside Seal and sticky-kill the Writer — silently ending
 // journaling for the whole sweep.
 type Float float64
 
@@ -135,9 +139,14 @@ func (f *Float) UnmarshalJSON(b []byte) error {
 		}
 		return nil
 	}
-	var v float64
-	if err := json.Unmarshal(b, &v); err != nil {
-		return err
+	if string(b) == "null" {
+		return nil // a no-op, as encoding/json treats a float64
+	}
+	// encoding/json hands over only valid JSON, so b is a number here
+	// or a value ParseFloat refuses, as it refuses 1e400.
+	v, err := strconv.ParseFloat(string(b), 64)
+	if err != nil {
+		return fmt.Errorf("journal: invalid float %s", b)
 	}
 	*f = Float(v)
 	return nil
@@ -196,6 +205,8 @@ type Header struct {
 	// resume).
 	Quick bool `json:"quick,omitempty"`
 	// Sum is the line checksum (FNV-1a of the record with Sum empty).
+	// It must stay the last field of every sealed record: Seal splices
+	// it in after the others.
 	Sum string `json:"sum,omitempty"`
 }
 
@@ -276,37 +287,51 @@ func (l *Log) Figure(id string) *Figure {
 	return nil
 }
 
+// sumKey opens the checksum member Seal splices onto every record.
+const sumKey = `,"sum":"`
+
+// sealTail is the length of what Seal appends after a record's last
+// field: sumKey, the 16 hex digits of the checksum, and `"}`.
+const sealTail = len(sumKey) + 16 + len(`"}`)
+
 // checksum returns the hex FNV-1a digest of a marshalled record whose
 // Sum field was empty when marshalled.
-func checksum(line []byte) string { return digest.OfBytes(line).String() }
+func checksum(raw []byte) string { return digest.OfBytes(raw).String() }
 
-// seal marshals rec twice: once with the checksum field empty to compute
-// the sum, once with it set, returning the final line. setSum must store
-// its argument into the record's Sum field.
-func seal(rec any, setSum func(string)) ([]byte, error) {
-	setSum("")
+// Seal renders rec as one sealed line, without its newline. rec is
+// marshalled once, with its Sum field empty, and `,"sum":"<16 hex>"`
+// — the checksum of those bytes — is spliced in before the closing
+// brace. Every sealed type (Header, Cell, Figure and the result
+// cache's entry) declares Sum, tagged "sum,omitempty", as its last
+// field, so the line is byte-identical to marshalling rec a second
+// time with Sum set. rec's Sum must be empty, and rec must marshal to
+// an object with at least one other field.
+func Seal(rec any) ([]byte, error) {
 	raw, err := json.Marshal(rec)
 	if err != nil {
 		return nil, err
 	}
-	setSum(checksum(raw))
-	return json.Marshal(rec)
+	// One spare byte: both callers append a newline.
+	line := make([]byte, 0, len(raw)-1+sealTail+1)
+	line = append(line, raw[:len(raw)-1]...)
+	line = append(line, sumKey...)
+	line = append(line, checksum(raw)...)
+	return append(line, `"}`...), nil
 }
 
-// verify re-marshals rec with its Sum cleared and compares checksums.
-// setSum must clear/restore the record's Sum field; got is the checksum
-// the line carried.
-func verify(rec any, got string, setSum func(string)) bool {
-	if got == "" {
+// Sealed reports whether line (without its newline) is exactly what
+// Seal wrote: it ends in `,"sum":"<16 hex>"}` and the hex is the
+// checksum of the bytes before that suffix, closed with `}`. The check
+// runs over the stored bytes, so any byte change short of a checksum
+// collision fails it, including one that decodes to the same record
+// (`1234.5` edited to `1234.50`).
+func Sealed(line []byte) bool {
+	n := len(line) - sealTail
+	if n < 1 || string(line[n:n+len(sumKey)]) != sumKey || string(line[len(line)-2:]) != `"}` {
 		return false
 	}
-	setSum("")
-	raw, err := json.Marshal(rec)
-	setSum(got)
-	if err != nil {
-		return false
-	}
-	return checksum(raw) == got
+	body := append(line[:n:n], '}')
+	return checksum(body) == string(line[n+len(sumKey):len(line)-2])
 }
 
 // Writer appends sealed records to a journal file. It is safe for
@@ -406,7 +431,7 @@ func ResumeVia(path string, wrap WrapSink) (*Log, *Writer, error) {
 
 // append seals and writes one record, fsyncing so the line survives a
 // crash immediately after.
-func (w *Writer) append(rec any, setSum func(string)) error {
+func (w *Writer) append(rec any) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
@@ -416,7 +441,7 @@ func (w *Writer) append(rec any, setSum func(string)) error {
 		w.err = fmt.Errorf("journal: appending to %s: %w", w.path, os.ErrClosed)
 		return w.err
 	}
-	line, err := seal(rec, setSum)
+	line, err := Seal(rec)
 	if err == nil {
 		_, err = w.f.Write(append(line, '\n'))
 	}
@@ -432,21 +457,20 @@ func (w *Writer) append(rec any, setSum func(string)) error {
 
 // WriteHeader appends the identity record.
 func (w *Writer) WriteHeader(h Header) error {
-	h.Kind = KindHeader
-	h.V = Version
-	return w.append(&h, func(s string) { h.Sum = s })
+	h.Kind, h.V, h.Sum = KindHeader, Version, ""
+	return w.append(&h)
 }
 
 // WriteCell appends one completed cell.
 func (w *Writer) WriteCell(c Cell) error {
-	c.Kind = KindCell
-	return w.append(&c, func(s string) { c.Sum = s })
+	c.Kind, c.Sum = KindCell, ""
+	return w.append(&c)
 }
 
 // WriteFigure appends one completed figure.
 func (w *Writer) WriteFigure(f Figure) error {
-	f.Kind = KindFigure
-	return w.append(&f, func(s string) { f.Sum = s })
+	f.Kind, f.Sum = KindFigure, ""
+	return w.append(&f)
 }
 
 // Err returns the first append failure, or nil.
@@ -459,7 +483,9 @@ func (w *Writer) Err() error {
 // Path returns the journal file path.
 func (w *Writer) Path() string { return w.path }
 
-// Close closes the underlying file (appends already fsync per line).
+// Close closes the sink: the file of a Create or Resume writer (every
+// append already fsync'd its line); a Stream writer leaves its
+// io.Writer open.
 func (w *Writer) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -605,38 +631,25 @@ func ParseLine(line []byte) (any, error) {
 	if err := json.Unmarshal(line, &probe); err != nil {
 		return nil, fmt.Errorf("journal: bad record: %w", err)
 	}
+	var rec any
 	switch probe.Kind {
 	case KindHeader:
 		if probe.V > Version {
 			return nil, fmt.Errorf("journal: schema v%d newer than supported v%d", probe.V, Version)
 		}
-		var h Header
-		if err := json.Unmarshal(line, &h); err != nil {
-			return nil, err
-		}
-		if !verify(&h, h.Sum, func(s string) { h.Sum = s }) {
-			return nil, fmt.Errorf("journal: header checksum mismatch")
-		}
-		return &h, nil
+		rec = new(Header)
 	case KindCell:
-		var c Cell
-		if err := json.Unmarshal(line, &c); err != nil {
-			return nil, err
-		}
-		if !verify(&c, c.Sum, func(s string) { c.Sum = s }) {
-			return nil, fmt.Errorf("journal: cell checksum mismatch")
-		}
-		return &c, nil
+		rec = new(Cell)
 	case KindFigure:
-		var fig Figure
-		if err := json.Unmarshal(line, &fig); err != nil {
-			return nil, err
-		}
-		if !verify(&fig, fig.Sum, func(s string) { fig.Sum = s }) {
-			return nil, fmt.Errorf("journal: figure checksum mismatch")
-		}
-		return &fig, nil
+		rec = new(Figure)
 	default:
 		return nil, fmt.Errorf("journal: unknown record kind %q", probe.Kind)
 	}
+	if err := json.Unmarshal(line, rec); err != nil {
+		return nil, err
+	}
+	if !Sealed(line) {
+		return nil, fmt.Errorf("journal: %s checksum mismatch", probe.Kind)
+	}
+	return rec, nil
 }

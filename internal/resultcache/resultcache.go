@@ -10,10 +10,11 @@
 // never change what a caller observes. Four outcomes exist, and only
 // four (DESIGN.md §12):
 //
-//   - hit: the entry decodes, its checksum matches, its stored key
-//     matches the request, and refolding the stored metrics onto the
-//     stored pre-metrics digest state reproduces the stored run digest
-//     exactly — the Result is served, bit-identical to a fresh run;
+//   - hit: the entry decodes, its checksum matches its stored bytes,
+//     its stored key matches the request, and refolding the stored
+//     metrics onto the stored pre-metrics digest state reproduces the
+//     stored run digest exactly — the Result is served, bit-identical
+//     to a fresh run;
 //   - miss: no entry (or a 64-bit-address collision whose stored key
 //     differs, or an unreadable file) — the caller simulates and
 //     publishes;
@@ -187,9 +188,12 @@ func (c *Cache) ResetStats() {
 
 // entry is the on-disk schema: the cell's identity, its metrics in
 // journal form (non-finite-safe, canonical JSON), the pre-metrics
-// digest state, the run digest, and a line checksum. json.Marshal
-// renders map keys sorted, so serialization is canonical: every
-// process publishing the same cell writes the same bytes.
+// digest state, the run digest, and a line checksum. Entries are
+// sealed and checked by the journal's codec (journal.Seal and
+// journal.Sealed), so the checksum covers the stored bytes.
+// json.Marshal renders map keys sorted, so serialization is
+// canonical: every process publishing the same cell writes the same
+// bytes.
 type entry struct {
 	Kind string `json:"kind"`
 	V    int    `json:"v"`
@@ -207,29 +211,15 @@ type entry struct {
 	Events string `json:"events"`
 	Digest string `json:"digest"`
 	// Sum is the entry checksum (FNV-1a of the serialization with Sum
-	// empty — the journal's seal discipline).
+	// empty). It must stay the last field: journal.Seal splices it in
+	// after the others.
 	Sum string `json:"sum,omitempty"`
 }
 
-// seal marshals e with its checksum filled in, plus a trailing
-// newline.
-func seal(e *entry) ([]byte, error) {
-	e.Sum = ""
-	raw, err := json.Marshal(e)
-	if err != nil {
-		return nil, err
-	}
-	e.Sum = digest.OfBytes(raw).String()
-	raw, err = json.Marshal(e)
-	if err != nil {
-		return nil, err
-	}
-	return append(raw, '\n'), nil
-}
-
 // decode parses and fully verifies one entry: strict JSON, schema
-// version, checksum, and the digest refold. It returns a reason
-// string on any failure — the caller turns it into a refusal.
+// version, checksum over the stored bytes (one trailing newline
+// aside), and the digest refold. It returns a reason string on any
+// failure — the caller turns it into a refusal.
 func decode(data []byte) (*entry, workload.Result, string) {
 	var e entry
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -246,14 +236,10 @@ func decode(data []byte) (*entry, workload.Result, string) {
 	if e.V != Version {
 		return nil, workload.Result{}, fmt.Sprintf("schema v%d, this build reads v%d", e.V, Version)
 	}
-	got := e.Sum
-	if got == "" {
+	if e.Sum == "" {
 		return nil, workload.Result{}, "entry has no checksum"
 	}
-	e.Sum = ""
-	raw, err := json.Marshal(&e)
-	e.Sum = got
-	if err != nil || digest.OfBytes(raw).String() != got {
+	if !journal.Sealed(bytes.TrimSuffix(data, []byte{'\n'})) {
 		return nil, workload.Result{}, "entry checksum mismatch"
 	}
 	ev, err := digest.Parse(e.Events)
@@ -353,12 +339,12 @@ func (c *Cache) Put(key Key, res workload.Result) {
 		Events: res.Events.String(),
 		Digest: res.Digest.String(),
 	}
-	line, err := seal(e)
+	line, err := journal.Seal(e)
 	if err != nil {
 		c.storerrs.Add(1)
 		return
 	}
-	if err := c.publish(c.EntryPath(key), line); err != nil {
+	if err := c.publish(c.EntryPath(key), append(line, '\n')); err != nil {
 		c.storerrs.Add(1)
 		return
 	}

@@ -194,6 +194,47 @@ func TestCorruptEntryRefusedTypedAndSetAside(t *testing.T) {
 	}
 }
 
+// TestEquivalentEditRefused: an edit that decodes to the same entry
+// passes the digest refold, so only a checksum over the stored bytes
+// (not over a re-marshal of the decoded entry) can refuse it. It must
+// be refused and set aside like any other damage.
+func TestEquivalentEditRefused(t *testing.T) {
+	c := openCache(t)
+	key := resultcache.KeyOf("edit-me")
+	path := c.EntryPath(key)
+	for _, edit := range []struct{ from, to string }{
+		{`"value":12345.678`, `"value":12345.6780`},
+		{`"value":`, `"value": `},
+	} {
+		c.Put(key, fakeResult("edit-me"))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edited := strings.Replace(string(data), edit.from, edit.to, 1)
+		if edited == string(data) {
+			t.Fatalf("test setup: %q not found in %s", edit.from, data)
+		}
+		if err := os.WriteFile(path, []byte(edited), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, ok, err := c.GetChecked(key)
+		var de *resultcache.DamagedError
+		if ok || !errors.As(err, &de) {
+			t.Fatalf("%q -> %q: (ok=%v, err=%v), want a typed refusal", edit.from, edit.to, ok, err)
+		}
+		if !strings.Contains(de.Reason, "checksum") {
+			t.Errorf("%q -> %q: refusal reason %q does not name the checksum", edit.from, edit.to, de.Reason)
+		}
+		if aside, err := os.ReadFile(de.SetAside); err != nil || string(aside) != edited {
+			t.Errorf("%q -> %q: edited entry not set aside intact (err=%v)", edit.from, edit.to, err)
+		}
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%q -> %q: edited entry still under its cache name", edit.from, edit.to)
+		}
+	}
+}
+
 func TestSchemaVersionRefused(t *testing.T) {
 	c := openCache(t)
 	key := resultcache.KeyOf("schema-drift")
