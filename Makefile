@@ -11,7 +11,7 @@
 #   make test-shard   # shard-supervision chaos matrix, SIGKILLed workers (DESIGN.md §11)
 #   make test-cache   # result-cache corruption matrix, every byte and bit (DESIGN.md §12)
 #   make serve-smoke  # asmp-serve end-to-end: coalesce, drain, cache-warm restart (DESIGN.md §10)
-#   make fuzz         # fuzz the four parsers of outside input for FUZZTIME each (default 10s)
+#   make fuzz         # fuzz the five parsers of outside input for FUZZTIME each (default 10s)
 #   make golden       # regenerate the committed seed-1 artifacts
 #
 # Wall-clock benchmarks live in bench/ (`sh bench/run.sh`, see BENCHMARK.json).
@@ -93,7 +93,7 @@ test-cache:
 serve-smoke:
 	$(GO) test -v -run TestServeSmoke ./cmd/asmp-serve
 
-# Fuzz the four parsers that read outside input, FUZZTIME each (`go
+# Fuzz the five parsers that read outside input, FUZZTIME each (`go
 # test -fuzz` takes one target per invocation):
 #   - the journal line decoder (internal/journal FuzzParseLine), which
 #     reads journal files and the record streams shard workers send
@@ -109,7 +109,13 @@ serve-smoke:
 #   - the fault-plan parser (internal/fault FuzzParsePlan), which reads
 #     -fault and POST /v1/run; seeded from the parse tests and the
 #     wave@/walk@/stairs@ generators, and held to the String round trip
-#     the run identity is built from.
+#     the run identity is built from;
+#   - the sweep decoder (internal/core FuzzSweepSpec), which reads
+#     asmp-sweep's flags and POST /v1/sweep bodies (sched.ParsePolicy
+#     included); seeded from both front ends' error-path tests and from
+#     pairs of bodies that spell one sweep two ways, and held to a
+#     canonical re-encoding with the same Identity, and to equal cell
+#     keys for equal identities.
 # A crasher lands in the package's testdata/fuzz and then runs with
 # every `go test`.
 FUZZTIME ?= 10s
@@ -118,6 +124,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime $(FUZZTIME) ./internal/resultcache
 	$(GO) test -run '^$$' -fuzz '^FuzzParseConfig$$' -fuzztime $(FUZZTIME) ./internal/cpu
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime $(FUZZTIME) ./internal/fault
+	$(GO) test -run '^$$' -fuzz '^FuzzSweepSpec$$' -fuzztime $(FUZZTIME) ./internal/core
 
 golden:
 	$(GO) run ./cmd/asmp-run -all > results/figures-full.txt

@@ -126,6 +126,71 @@ func TestResumeRejectsDifferentSweep(t *testing.T) {
 	}
 }
 
+// TestResumeRefusesChangedLimits pins the two knobs that decide which
+// runs fail without changing any cell's seed: the virtual-time
+// watchdog and the retry budget. Resuming under a different value of
+// either would carry over cells the new sweep reports differently, so
+// the resume is refused with the typed identity error naming the
+// field; under the same value (in any spelling) it reproduces the
+// uninterrupted report byte for byte.
+func TestResumeRefusesChangedLimits(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// args is the smallest sweep that shows the hole: under
+		// -timeout 1ms every cell fails at once; TPC-H's second run on
+		// 2f-2s/8 overruns 25s on its first attempt and finishes on
+		// its retry.
+		args          []string
+		changed, same []string
+		field         string
+	}{
+		{"timeout", []string{"-workload", "specjbb", "-configs", "4f-0s/4", "-runs", "2", "-timeout", "1ms"},
+			[]string{"-timeout", "1min"}, []string{"-timeout", "0.001s"}, `timeout is "0.001s", this sweep has "60s"`},
+		{"timeout-unset", []string{"-workload", "specjbb", "-configs", "4f-0s/4", "-runs", "2"},
+			[]string{"-timeout", "1ms"}, nil, `timeout is "", this sweep has "0.001s"`},
+		{"retries", []string{"-workload", "tpch", "-configs", "2f-2s/8", "-runs", "2", "-timeout", "25s", "-retries", "1"},
+			[]string{"-retries", "0"}, []string{"-retries", "1"}, "retries is 1, this sweep has 0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			args := func(extra ...string) []string {
+				return append(append([]string{}, tc.args...), extra...)
+			}
+			j := filepath.Join(t.TempDir(), "run.jsonl")
+			wantCode, want, _ := runCmd(args("-journal", j)...)
+			raw, err := os.ReadFile(j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.SplitAfter(string(raw), "\n")
+			cut := lines[0] + lines[1]
+			if err := os.WriteFile(j, []byte(cut), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			code, out, errOut := runCmd(args(append(tc.changed, "-journal", j, "-resume")...)...)
+			if code != 2 || out != "" {
+				t.Fatalf("resume with %v: exit %d, stdout %q; want 2 and no report", tc.changed, code, out)
+			}
+			if !strings.Contains(errOut, "core: journal "+j+" records a different sweep: "+tc.field) {
+				t.Fatalf("resume with %v: stderr %q does not refuse on %s", tc.changed, errOut, tc.field)
+			}
+			if got, _ := os.ReadFile(j); string(got) != cut {
+				t.Fatal("a refused resume wrote to the journal")
+			}
+			if tc.same == nil {
+				return
+			}
+			code, got, errOut := runCmd(args(append(tc.same, "-journal", j, "-resume")...)...)
+			if code != wantCode {
+				t.Fatalf("resume with %v: exit %d, want %d: %s", tc.same, code, wantCode, errOut)
+			}
+			if got != want {
+				t.Errorf("resumed report differs from uninterrupted sweep:\n--- want ---\n%s--- got ---\n%s", want, got)
+			}
+		})
+	}
+}
+
 func TestResumeRequiresJournal(t *testing.T) {
 	code, _, errOut := runCmd(sweepArgs("-resume")...)
 	if code != 2 || !strings.Contains(errOut, "-resume requires -journal") {

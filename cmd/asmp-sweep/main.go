@@ -33,8 +33,6 @@ import (
 	"syscall"
 
 	"asmp/internal/core"
-	"asmp/internal/cpu"
-	"asmp/internal/fault"
 	"asmp/internal/faultio"
 	"asmp/internal/journal"
 	"asmp/internal/profiling"
@@ -42,7 +40,6 @@ import (
 	"asmp/internal/resultcache"
 	"asmp/internal/sched"
 	"asmp/internal/shard"
-	"asmp/internal/sim"
 	"asmp/internal/workload"
 	_ "asmp/internal/workload/h264"
 	_ "asmp/internal/workload/jappserver"
@@ -104,17 +101,26 @@ func runWith(args []string, stdout, stderr io.Writer, cancel <-chan struct{}) (c
 	}
 	fs := flag.NewFlagSet("asmp-sweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	// The sweep's own flags bind straight into the shared spec; core
+	// decodes and validates them exactly as it does a /v1/sweep body.
+	var spec core.SweepSpec
+	fs.StringVar(&spec.Workload, "workload", "", "registered workload name (see -list)")
+	fs.Func("configs", "comma-separated nf-ms/scale configs (default: the paper's nine)", func(v string) error {
+		spec.Configs = nil
+		if v != "" {
+			spec.Configs = strings.Split(v, ",")
+		}
+		return nil
+	})
+	fs.IntVar(&spec.Runs, "runs", 3, "repetitions per configuration")
+	fs.StringVar(&spec.Policy, "policy", "naive", "scheduler policy: "+sched.PolicyUsage)
+	fs.Uint64Var(&spec.Seed, "seed", 1, "base random seed")
+	fs.StringVar(&spec.Fault, "fault", "", `fault plan injected into every run, e.g. "throttle@1.5s:0:0.125,restore@3.5s:0"`)
+	fs.StringVar(&spec.Timeout, "timeout", "", "virtual-time watchdog per run, e.g. 30s or 2min (wedged runs become ERR cells)")
+	fs.IntVar(&spec.Retries, "retries", 0, "retry each failed run up to N times with a fresh derived seed")
 	var (
-		name     = fs.String("workload", "", "registered workload name (see -list)")
 		list     = fs.Bool("list", false, "list registered workloads")
-		configs  = fs.String("configs", "", "comma-separated nf-ms/scale configs (default: the paper's nine)")
-		runs     = fs.Int("runs", 3, "repetitions per configuration")
-		policy   = fs.String("policy", "naive", "scheduler policy: "+sched.PolicyUsage)
-		seed     = fs.Uint64("seed", 1, "base random seed")
 		csv      = fs.Bool("csv", false, "emit CSV")
-		faultStr = fs.String("fault", "", `fault plan injected into every run, e.g. "throttle@1.5s:0:0.125,restore@3.5s:0"`)
-		timeout  = fs.String("timeout", "", "virtual-time watchdog per run, e.g. 30s or 2min (wedged runs become ERR cells)")
-		retries  = fs.Int("retries", 0, "retry each failed run up to N times with a fresh derived seed")
 		journalP = fs.String("journal", "", "append every completed cell to this JSONL journal (enables -resume)")
 		resume   = fs.Bool("resume", false, "resume the sweep recorded in -journal, re-executing only missing or failed cells")
 		shards   = fs.Int("shards", 0, "run the sweep's cells on N supervised worker processes that stream their records into -journal, byte-identical to an unsharded -workers 1 journal (requires -journal; combines with -resume)")
@@ -160,23 +166,17 @@ func runWith(args []string, stdout, stderr io.Writer, cancel <-chan struct{}) (c
 		}
 		return 0
 	}
-	if *name == "" {
+	if spec.Workload == "" {
 		fs.Usage()
 		return 2
 	}
-	w, err := workload.New(*name)
+	tearSeed := spec.Seed // -seed as given: Experiment canonicalises 0 to 1
+	exp, err := spec.Experiment("-")
 	if err != nil {
 		fmt.Fprintln(stderr, "asmp-sweep:", err)
 		return 2
 	}
-	if *runs < 1 {
-		fmt.Fprintf(stderr, "asmp-sweep: -runs must be at least 1, got %d\n", *runs)
-		return 2
-	}
-	if *retries < 0 {
-		fmt.Fprintf(stderr, "asmp-sweep: -retries must be non-negative, got %d\n", *retries)
-		return 2
-	}
+	exp.Cancel = cancel
 	if *workers < 0 {
 		fmt.Fprintf(stderr, "asmp-sweep: -workers must be non-negative, got %d\n", *workers)
 		return 2
@@ -196,52 +196,6 @@ func runWith(args []string, stdout, stderr io.Writer, cancel <-chan struct{}) (c
 	if err := core.AttachResultCache(dir, *cacheMax); err != nil {
 		fmt.Fprintln(stderr, "asmp-sweep:", err)
 		return 2
-	}
-
-	pol, err := sched.ParsePolicy(*policy)
-	if err != nil {
-		fmt.Fprintln(stderr, "asmp-sweep:", err)
-		return 2
-	}
-
-	var cfgs []cpu.Config
-	if *configs != "" {
-		for _, s := range strings.Split(*configs, ",") {
-			c, err := cpu.ParseConfig(s)
-			if err != nil {
-				fmt.Fprintln(stderr, "asmp-sweep:", err)
-				return 2
-			}
-			cfgs = append(cfgs, c)
-		}
-	}
-
-	var plan *fault.Plan
-	if *faultStr != "" {
-		plan, err = fault.Parse(*faultStr)
-		if err != nil {
-			fmt.Fprintln(stderr, "asmp-sweep:", err)
-			return 2
-		}
-		swept := cfgs
-		if len(swept) == 0 {
-			swept = cpu.StandardConfigs
-		}
-		for _, c := range swept {
-			if err := plan.Validate(c.Fast + c.Slow); err != nil {
-				fmt.Fprintf(stderr, "asmp-sweep: fault plan does not fit %s: %v\n", c, err)
-				return 2
-			}
-		}
-	}
-	var limits sim.Limits
-	if *timeout != "" {
-		d, err := fault.ParseDuration(*timeout)
-		if err != nil || d <= 0 {
-			fmt.Fprintf(stderr, "asmp-sweep: bad -timeout %q (want e.g. 30s, 500ms, 2min)\n", *timeout)
-			return 2
-		}
-		limits.MaxVirtualTime = d
 	}
 	if *resume && *journalP == "" {
 		fmt.Fprintln(stderr, "asmp-sweep: -resume requires -journal")
@@ -265,24 +219,11 @@ func runWith(args []string, stdout, stderr io.Writer, cancel <-chan struct{}) (c
 			fmt.Fprintln(stderr, "asmp-sweep: -crashat requires -journal")
 			return 2
 		}
-		wrap = faultio.Plan{Tear: true, TearAt: crashAt, Seed: *seed}.Wrap()
+		wrap = faultio.Plan{Tear: true, TearAt: crashAt, Seed: tearSeed}.Wrap()
 	}
 	if *verify > 0 && (*journalP != "" || *resume || *shards > 0) {
 		fmt.Fprintln(stderr, "asmp-sweep: -verify is an audit, not a sweep; it does not combine with -journal/-resume/-shards")
 		return 2
-	}
-
-	exp := core.Experiment{
-		Name:     fmt.Sprintf("%s (%s scheduler, %d runs)", w.Name(), pol, *runs),
-		Workload: w,
-		Configs:  cfgs,
-		Runs:     *runs,
-		Sched:    sched.Defaults(pol),
-		BaseSeed: *seed,
-		Fault:    plan,
-		Limits:   limits,
-		Retries:  *retries,
-		Cancel:   cancel,
 	}
 
 	if *verify > 0 {
@@ -300,7 +241,6 @@ func runWith(args []string, stdout, stderr io.Writer, cancel <-chan struct{}) (c
 	var jw *journal.Writer
 	switch {
 	case *journalP != "" && *resume:
-		var err error
 		log, jw, err = journal.ResumeVia(*journalP, wrap)
 		if err != nil {
 			var de *journal.DamagedError
@@ -323,7 +263,6 @@ func runWith(args []string, stdout, stderr io.Writer, cancel <-chan struct{}) (c
 			fmt.Fprintf(stderr, "asmp-sweep: journal had a corrupt tail (%d line(s), the interrupted write); truncated\n", log.Dropped)
 		}
 	case *journalP != "":
-		var err error
 		jw, err = journal.CreateVia(*journalP, wrap)
 		if err != nil {
 			fmt.Fprintln(stderr, "asmp-sweep:", err)
@@ -335,25 +274,10 @@ func runWith(args []string, stdout, stderr io.Writer, cancel <-chan struct{}) (c
 	var out *core.Outcome
 	switch {
 	case *shards > 0:
-		// Re-exec this binary per shard with the sweep's own identity
-		// flags; -shardworker is appended per spawn, and a resuming
-		// worker reads the journal to skip the cells it already holds.
-		workerArgs := []string{
-			"-workload", *name,
-			"-runs", fmt.Sprint(*runs),
-			"-policy", *policy,
-			"-seed", fmt.Sprint(*seed),
-			"-retries", fmt.Sprint(*retries),
-		}
-		if *configs != "" {
-			workerArgs = append(workerArgs, "-configs", *configs)
-		}
-		if *faultStr != "" {
-			workerArgs = append(workerArgs, "-fault", *faultStr)
-		}
-		if *timeout != "" {
-			workerArgs = append(workerArgs, "-timeout", *timeout)
-		}
+		// Re-exec this binary per shard with the sweep's own spec;
+		// -shardworker is appended per spawn, and a resuming worker
+		// reads the journal to skip the cells it already holds.
+		workerArgs := spec.Args()
 		if *workers != 0 {
 			workerArgs = append(workerArgs, "-workers", fmt.Sprint(*workers))
 		}
@@ -369,7 +293,6 @@ func runWith(args []string, stdout, stderr io.Writer, cancel <-chan struct{}) (c
 			return failed
 		}
 	case log != nil:
-		var err error
 		out, err = exp.Resume(log)
 		if err != nil {
 			if cerr := jw.Close(); cerr != nil {
@@ -400,8 +323,8 @@ func runWith(args []string, stdout, stderr io.Writer, cancel <-chan struct{}) (c
 		fit := out.ScalabilityFit()
 		t.AddNote("scalability fit R² = %.3f", fit.R2)
 	}
-	if plan != nil {
-		t.AddNote("fault plan: %s", plan)
+	if exp.Fault != nil {
+		t.AddNote("fault plan: %s", exp.Fault)
 	}
 	if *csv {
 		fmt.Fprint(stdout, t.CSV())
@@ -448,10 +371,7 @@ func runVerify(exp core.Experiment, n int, stdout, stderr io.Writer) int {
 	if n < 2 {
 		n = 2
 	}
-	configs := exp.Configs
-	if len(configs) == 0 {
-		configs = cpu.StandardConfigs
-	}
+	configs, _, _ := exp.Grid()
 	fmt.Fprintf(stdout, "determinism audit: %s, %s policy, seed %d, %d executions per config\n",
 		exp.Workload.Name(), exp.Sched.Policy, exp.BaseSeed, n)
 	failedCount := 0

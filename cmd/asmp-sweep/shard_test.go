@@ -119,6 +119,49 @@ func TestShardedSweepCSVByteIdentical(t *testing.T) {
 	}
 }
 
+// TestShardedSweepLongFaultPlan: a generator fault plan whose expansion
+// outgrows one argv string (Linux caps a single argument at 128 KiB)
+// still reaches the workers, which are handed the -fault text as given:
+// the sharded journal equals the unsharded one byte for byte.
+func TestShardedSweepLongFaultPlan(t *testing.T) {
+	dir := t.TempDir()
+	args := func(extra ...string) []string {
+		return append([]string{"-workload", "specjbb", "-configs", "4f-0s/4,2f-2s/8", "-runs", "1",
+			"-fault", "wave@1s:1ms:0:0.5:5000"}, extra...)
+	}
+	refJ := filepath.Join(dir, "ref.jsonl")
+	code, want, errOut := runCmd(args("-journal", refJ, "-workers", "1")...)
+	if code != 0 {
+		t.Fatalf("reference sweep exit = %d: %s", code, errOut)
+	}
+	refLog, err := journal.Read(refJ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(refLog.Header.Fault); n <= 128<<10 {
+		t.Fatalf("fault plan expands to %d bytes; the test needs more than one argv string holds", n)
+	}
+	j := filepath.Join(dir, "run.jsonl")
+	code, got, errOut := runCmd(args("-journal", j, "-shards", "2")...)
+	if code != 0 {
+		t.Fatalf("-shards 2 exit = %d: %s", code, errOut)
+	}
+	if got != want {
+		t.Error("sharded report differs from the unsharded run")
+	}
+	raw, err := os.ReadFile(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refRaw, err := os.ReadFile(refJ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(raw) != string(refRaw) {
+		t.Error("sharded journal differs from the unsharded journal")
+	}
+}
+
 func TestShardsFlagValidation(t *testing.T) {
 	if code, _, errOut := runCmd(sweepArgs("-shards", "2")...); code != 2 ||
 		!strings.Contains(errOut, "-shards requires -journal") {

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Package is one loaded, type-checked package ready for analysis.
@@ -32,7 +33,10 @@ type Package struct {
 // the module root directly; standard-library imports are type-checked
 // from GOROOT source via go/importer's "source" importer (shipped
 // toolchains no longer carry export data, and the source importer alone
-// is not module-aware — hence the hybrid).
+// is not module-aware — hence the hybrid). Every Loader in a process
+// shares one FileSet and one standard-library importer (std), so the
+// standard library is type-checked once per process, not once per
+// Loader.
 //
 // Only non-test files that match the default build constraints are
 // loaded: the invariants protect production digest paths, and tests
@@ -44,9 +48,19 @@ type Loader struct {
 	// Module is the module path declared in go.mod.
 	Module string
 
-	std   types.ImporterFrom
 	cache map[string]*loadEntry
 }
+
+// The process-wide standard-library importer behind every Loader, and
+// the FileSet its packages are positioned in. The source importer is
+// not documented as safe for concurrent use, so stdMu serializes it:
+// Loaders on different goroutines share the packages it has already
+// checked and take turns checking new ones.
+var (
+	stdFset = token.NewFileSet()
+	stdMu   sync.Mutex
+	std     = importer.ForCompiler(stdFset, "source", nil).(types.ImporterFrom)
+)
 
 type loadEntry struct {
 	pkg *Package
@@ -63,12 +77,10 @@ func NewLoader(dir string) (*Loader, error) {
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
 	return &Loader{
-		Fset:   fset,
+		Fset:   stdFset,
 		Root:   root,
 		Module: module,
-		std:    importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
 		cache:  map[string]*loadEntry{},
 	}, nil
 }
@@ -301,5 +313,7 @@ func (l *Loader) ImportFrom(path, srcDir string, mode types.ImportMode) (*types.
 		}
 		return pkg.Pkg, nil
 	}
-	return l.std.ImportFrom(path, srcDir, mode)
+	stdMu.Lock()
+	defer stdMu.Unlock()
+	return std.ImportFrom(path, srcDir, mode)
 }

@@ -363,6 +363,7 @@ type Outcome struct {
 func (e Experiment) normalized() (configs []cpu.Config, runs int, base uint64) {
 	configs = e.Configs
 	if len(configs) == 0 {
+		//asmp:allow purity StandardConfigs is the paper's fixed nine-configuration table; nothing writes it
 		configs = cpu.StandardConfigs
 	}
 	runs = e.Runs
@@ -410,7 +411,7 @@ func (e Experiment) run(seeded map[cellKey]workload.Result, writeHeader bool) *O
 	configs, runs, base := e.normalized()
 	var journalErr error
 	if e.Journal != nil && writeHeader {
-		if err := e.Journal.WriteHeader(e.journalHeader(configs, runs, base)); err != nil {
+		if err := e.Journal.WriteHeader(e.JournalHeader()); err != nil {
 			// A journal without its identity header can never be
 			// validated on resume; stop journaling entirely and surface
 			// the failure once via Outcome.JournalErr.
@@ -480,15 +481,7 @@ func (e Experiment) run(seeded map[cellKey]workload.Result, writeHeader bool) *O
 				// recorded error is the last attempt's.
 				attempt := 0
 				for ; ; attempt++ {
-					results[i], errs[i] = ExecuteSafe(RunSpec{
-						Workload: e.Workload,
-						Config:   configs[cl.cfg],
-						Sched:    e.Sched,
-						Seed:     RetrySeed(base, cl.cfg, cl.run, attempt),
-						Fault:    e.Fault,
-						Limits:   e.Limits,
-						Cancel:   e.Cancel,
-					})
+					results[i], errs[i] = ExecuteSafe(e.runSpec(configs, base, cl, attempt))
 					if errs[i] == nil || attempt >= e.Retries ||
 						errors.Is(errs[i], ErrCancelled) {
 						break
@@ -518,6 +511,20 @@ func (e Experiment) run(seeded map[cellKey]workload.Result, writeHeader bool) *O
 		journalErr = e.Journal.Err()
 	}
 	return assemble(e.Name, configs, runs, results, errs, journalErr)
+}
+
+// runSpec returns the RunSpec of one attempt at cell cl of the grid
+// (configs, base) that normalized returned.
+func (e Experiment) runSpec(configs []cpu.Config, base uint64, cl cellKey, attempt int) RunSpec {
+	return RunSpec{
+		Workload: e.Workload,
+		Config:   configs[cl.cfg],
+		Sched:    e.Sched,
+		Seed:     RetrySeed(base, cl.cfg, cl.run, attempt),
+		Fault:    e.Fault,
+		Limits:   e.Limits,
+		Cancel:   e.Cancel,
+	}
 }
 
 // assemble folds flattened per-cell results and errors into an Outcome.

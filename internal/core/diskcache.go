@@ -65,14 +65,31 @@ func ResultCacheDir() string {
 	return ""
 }
 
-// cacheKeyFor renders a memoKey's canonical identity string and
-// derives its content address. Every field of every component is
-// rendered explicitly — workload identity, config, each scheduler
-// option, seed, fault plan, each watchdog limit — so the string (and
-// therefore the address) changes exactly when an input that reaches
-// the simulation changes. Floats render in hex float form: exact,
-// locale-free, and distinguishing every bit pattern the digest would.
+// cacheKeyFor derives a memoKey's content address from its canonical
+// description (cellDesc).
 func cacheKeyFor(key memoKey) resultcache.Key {
+	return resultcache.KeyOf(cellDesc(key))
+}
+
+// CellKey renders the canonical identity of the cell spec runs — the
+// description its cell-table entry and disk-cache address derive from
+// — or "" when spec is not memoizable at all (memoKeyFor). asmp-serve
+// coalesces POST /v1/run requests by it.
+func CellKey(spec RunSpec) string {
+	key, ok := memoKeyFor(spec)
+	if !ok {
+		return ""
+	}
+	return cellDesc(key)
+}
+
+// cellDesc renders a memoKey's canonical identity string. Every field
+// of every component is rendered explicitly — workload identity,
+// config, each scheduler option, seed, fault plan, each watchdog limit
+// — so the string (and therefore the address) changes exactly when an
+// input that reaches the simulation changes. Floats render in hex float form: exact,
+// locale-free, and distinguishing every bit pattern the digest would.
+func cellDesc(key memoKey) string {
 	var b strings.Builder
 	field := func(s string) {
 		// Length-prefix each field so field boundaries cannot be forged
@@ -98,5 +115,5 @@ func cacheKeyFor(key memoKey) resultcache.Key {
 	f64(float64(key.limits.MaxVirtualTime))
 	field(strconv.Itoa(key.limits.MaxEvents))
 	field(strconv.FormatBool(key.limits.DetectDeadlock))
-	return resultcache.KeyOf(b.String())
+	return b.String()
 }

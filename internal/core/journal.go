@@ -5,30 +5,39 @@ package core
 // replaying a parsed journal in Resume. The invariants:
 //
 //   - a journal is only ever resumed against the *same* sweep — same
-//     workload, policy, configurations, repetition count, base seed and
-//     fault plan — anything else is an error, never a silent mismatch;
+//     Identity: workload, policy, configurations, repetition count,
+//     base seed, fault plan, virtual-time limit and retry budget —
+//     anything else is an error, never a silent mismatch;
 //   - only successful cells are carried over; failed and missing cells
 //     re-execute with their original derived seeds, so a resumed sweep's
 //     Outcome is identical to an uninterrupted one.
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 
 	"asmp/internal/cpu"
 	"asmp/internal/digest"
+	"asmp/internal/fault"
 	"asmp/internal/journal"
 	"asmp/internal/workload"
 )
 
-// journalHeader builds the identity record for this experiment.
-func (e Experiment) journalHeader(configs []cpu.Config, runs int, base uint64) journal.Header {
+// JournalHeader returns the identity header this experiment writes to
+// a fresh journal: the effective grid (defaults applied), the policy,
+// the fault plan, the virtual-time limit and the retry budget.
+func (e Experiment) JournalHeader() journal.Header {
+	configs, runs, base := e.normalized()
 	h := journal.Header{
 		Name:     e.Name,
 		Workload: e.Workload.Name(),
 		Policy:   e.Sched.Policy.String(),
 		Runs:     runs,
 		BaseSeed: base,
+		Retries:  max(e.Retries, 0),
 	}
 	for _, c := range configs {
 		h.Configs = append(h.Configs, c.String())
@@ -36,6 +45,32 @@ func (e Experiment) journalHeader(configs []cpu.Config, runs int, base uint64) j
 	if !e.Fault.Empty() {
 		h.Fault = e.Fault.String()
 	}
+	if t := e.Limits.MaxVirtualTime; t > 0 {
+		h.Timeout = fault.FormatDuration(t)
+	}
+	return h
+}
+
+// Identity renders which sweep this is: the journal header with its
+// labels (tool, name) and checksum left out. Two experiments with
+// equal identities run the same cells with the same seeds, limits and
+// retries; a journal resumes only under its own identity, and
+// asmp-serve coalesces sweeps by it. The scheduler knobs other than
+// Policy, the limits other than MaxVirtualTime, and workload options
+// beyond Name are not in it: no front end sets them on a journaled or
+// served sweep, and the cell key (memoKey) pins them per cell.
+func (e Experiment) Identity() string {
+	b, err := json.Marshal(identityOf(e.JournalHeader()))
+	if err != nil {
+		panic(err) // strings, ints and a string slice always marshal
+	}
+	return string(b)
+}
+
+// identityOf strips h to the fields that name a sweep.
+func identityOf(h journal.Header) journal.Header {
+	h.Kind, h.V = journal.KindHeader, journal.Version
+	h.Tool, h.Name, h.Sum = "", "", ""
 	return h
 }
 
@@ -44,12 +79,6 @@ func (e Experiment) journalHeader(configs []cpu.Config, runs int, base uint64) j
 // journals record and internal/shard partitions.
 func (e Experiment) Grid() (configs []cpu.Config, runs int, base uint64) {
 	return e.normalized()
-}
-
-// JournalHeader returns the identity header this experiment writes to
-// a fresh journal.
-func (e Experiment) JournalHeader() journal.Header {
-	return e.journalHeader(e.normalized())
 }
 
 // journalCell builds the record for one completed cell.
@@ -193,38 +222,19 @@ func (e Experiment) validateJournal(log *journal.Log) error {
 }
 
 // CheckHeader reports whether h records a different sweep than this
-// experiment: workload, policy, runs, base seed, fault plan or configs.
+// experiment: any difference in Identity, named by the first differing
+// header field's JSON key.
 func (e Experiment) CheckHeader(h *journal.Header) error {
-	configs, runs, base := e.normalized()
-	mismatch := func(field, got, want string) error {
-		return fmt.Errorf("records a different sweep: %s is %s, this sweep has %s", field, got, want)
-	}
-	if h.Workload != e.Workload.Name() {
-		return mismatch("workload", h.Workload, e.Workload.Name())
-	}
-	if h.Policy != e.Sched.Policy.String() {
-		return mismatch("policy", h.Policy, e.Sched.Policy.String())
-	}
-	if h.Runs != runs {
-		return mismatch("runs", fmt.Sprint(h.Runs), fmt.Sprint(runs))
-	}
-	if h.BaseSeed != base {
-		return mismatch("base seed", fmt.Sprint(h.BaseSeed), fmt.Sprint(base))
-	}
-	faultStr := ""
-	if !e.Fault.Empty() {
-		faultStr = e.Fault.String()
-	}
-	if h.Fault != faultStr {
-		return mismatch("fault plan", fmt.Sprintf("%q", h.Fault), fmt.Sprintf("%q", faultStr))
-	}
-	if len(h.Configs) != len(configs) {
-		return mismatch("config count", fmt.Sprint(len(h.Configs)), fmt.Sprint(len(configs)))
-	}
-	for i, c := range configs {
-		if h.Configs[i] != c.String() {
-			return mismatch(fmt.Sprintf("config %d", i), h.Configs[i], c.String())
+	got, want := reflect.ValueOf(identityOf(*h)), reflect.ValueOf(identityOf(e.JournalHeader()))
+	for i := 0; i < got.NumField(); i++ {
+		g, w := got.Field(i).Interface(), want.Field(i).Interface()
+		if reflect.DeepEqual(g, w) {
+			continue
 		}
+		key, _, _ := strings.Cut(got.Type().Field(i).Tag.Get("json"), ",")
+		gj, _ := json.Marshal(g) // header fields always marshal
+		wj, _ := json.Marshal(w)
+		return fmt.Errorf("records a different sweep: %s is %s, this sweep has %s", key, gj, wj)
 	}
 	return nil
 }

@@ -166,9 +166,9 @@ func TestResumeRejectsMismatchedSweep(t *testing.T) {
 		mutate func(*Experiment)
 		want   string
 	}{
-		{"base seed", func(e *Experiment) { e.BaseSeed = 8 }, "base seed"},
+		{"base seed", func(e *Experiment) { e.BaseSeed = 8 }, "baseSeed is 7, this sweep has 8"},
 		{"runs", func(e *Experiment) { e.Runs = 3 }, "runs"},
-		{"configs", func(e *Experiment) { e.Configs = configs[:2] }, "config count"},
+		{"configs", func(e *Experiment) { e.Configs = configs[:2] }, "configs is"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -197,8 +197,8 @@ func TestResumeReexecutesFailedCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgs, runs, base := exp.normalized()
-	if err := w.WriteHeader(exp.journalHeader(cfgs, runs, base)); err != nil {
+	_, _, base := exp.normalized()
+	if err := w.WriteHeader(exp.JournalHeader()); err != nil {
 		t.Fatal(err)
 	}
 	err = w.WriteCell(journal.Cell{
@@ -267,8 +267,8 @@ func TestResumeLastRecordWinsOnFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgs, runs, base := exp.normalized()
-	if err := w.WriteHeader(exp.journalHeader(cfgs, runs, base)); err != nil {
+	_, _, base := exp.normalized()
+	if err := w.WriteHeader(exp.JournalHeader()); err != nil {
 		t.Fatal(err)
 	}
 	// A success record with a deliberately wrong value: if resume trusts
@@ -385,8 +385,8 @@ func TestResumeRefusalsAreTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgs, runs, base := exp.normalized()
-	if err := w.WriteHeader(exp.journalHeader(cfgs, runs, base)); err != nil {
+	_, _, base := exp.normalized()
+	if err := w.WriteHeader(exp.JournalHeader()); err != nil {
 		t.Fatal(err)
 	}
 	// A success record with an unparseable digest.

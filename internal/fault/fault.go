@@ -316,6 +316,11 @@ func ParseDuration(text string) (simtime.Duration, error) {
 	return parseDuration(text)
 }
 
+// FormatDuration renders d in the exact-round-trip form ParseDuration
+// accepts — the canonical text of a duration, so "25s" and "25000ms"
+// render alike.
+func FormatDuration(d simtime.Duration) string { return fmtTime(d) }
+
 // parseDuration parses "1.5s", "50ms", "250us", "10ns" or "2min" into
 // simulated time.
 func parseDuration(text string) (simtime.Time, error) {

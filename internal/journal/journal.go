@@ -193,14 +193,22 @@ type Header struct {
 	Tool string `json:"tool,omitempty"`
 	// Name echoes the experiment name.
 	Name string `json:"name,omitempty"`
-	// Workload, Policy, Configs, Runs, BaseSeed and Fault pin the sweep
-	// identity a resume must match.
+	// Workload, Policy, Configs, Runs, BaseSeed, Fault, Timeout and
+	// Retries pin the sweep identity a resume must match
+	// (core.Experiment.Identity renders it).
 	Workload string   `json:"workload,omitempty"`
 	Policy   string   `json:"policy,omitempty"`
 	Configs  []string `json:"configs,omitempty"`
 	Runs     int      `json:"runs,omitempty"`
 	BaseSeed uint64   `json:"baseSeed,omitempty"`
 	Fault    string   `json:"fault,omitempty"`
+	// Timeout is the per-run virtual-time watchdog in its canonical
+	// fault-plan form ("25s"); Retries the per-cell retry budget. Both
+	// decide which runs fail, so both are identity; omitempty keeps the
+	// header of a sweep that sets neither byte-identical to journals
+	// without these fields, such as results/sample-run.jsonl.
+	Timeout string `json:"timeout,omitempty"`
+	Retries int    `json:"retries,omitempty"`
 	// Quick records asmp-run's -quick flag (resolution must match on
 	// resume).
 	Quick bool `json:"quick,omitempty"`

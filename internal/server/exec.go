@@ -16,7 +16,6 @@ import (
 	"asmp/internal/journal"
 	"asmp/internal/report"
 	"asmp/internal/sim"
-	"asmp/internal/workload"
 )
 
 const (
@@ -229,9 +228,4 @@ func (s *Server) figureExec(f figures.Figure, opt figures.Options) func(<-chan s
 		fig := &journal.Figure{ID: f.ID, Txt: txt.String(), Csv: csv.String()}
 		return &result{status: 200, figure: fig}
 	}
-}
-
-// workloadByName resolves a registered workload, mirroring the CLIs.
-func workloadByName(name string) (workload.Workload, error) {
-	return workload.New(name)
 }

@@ -3,8 +3,8 @@ package server
 // HTTP surface. Three data endpoints (run, sweep, figure) share the
 // admit/await protocol; three control endpoints (healthz, readyz,
 // stats) answer immediately; two listing endpoints aid discovery.
-// Request validation mirrors the CLIs flag for flag, so anything
-// asmp-sweep accepts, POST /v1/sweep accepts.
+// POST /v1/sweep decodes through core.SweepSpec, asmp-sweep's own
+// decoder, so anything asmp-sweep accepts, POST /v1/sweep accepts.
 
 import (
 	"encoding/json"
@@ -12,15 +12,12 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"asmp/internal/core"
 	"asmp/internal/cpu"
-	"asmp/internal/fault"
 	"asmp/internal/figures"
 	"asmp/internal/sched"
-	"asmp/internal/sim"
 	"asmp/internal/workload"
 
 	_ "asmp/internal/workload/h264"
@@ -257,7 +254,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", err.Error(), nil)
 		return
 	}
-	wl, err := workloadByName(req.Workload)
+	wl, err := workload.New(req.Workload)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", err.Error(), nil)
 		return
@@ -267,7 +264,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", err.Error(), nil)
 		return
 	}
-	pol, err := parsePolicy(req.Policy)
+	pol, err := core.ParsePolicy(req.Policy)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", err.Error(), nil)
 		return
@@ -280,33 +277,28 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", err.Error(), nil)
 		return
 	}
-	key := fmt.Sprintf("run|w=%s|cfg=%s|policy=%s|seed=%d",
-		req.Workload, cfg, pol, req.Seed)
 	spec := core.RunSpec{
 		Workload: wl,
 		Config:   cfg,
 		Sched:    sched.Defaults(pol),
 		Seed:     req.Seed,
 	}
-	s.dispatch(w, r, key, s.runExec(spec), deadline, "")
+	// The coalescing key is the cell's own identity, the one its memo
+	// and disk-cache entries are filed under; every registered workload
+	// has one (TestEveryWorkloadHasCellKey).
+	s.dispatch(w, r, core.CellKey(spec), s.runExec(spec), deadline, "")
 }
 
 // ---- sweep ----
 
-// sweepRequest is the POST /v1/sweep body. Field semantics mirror
-// asmp-sweep's flags; defaults are the CLI's defaults.
+// sweepRequest is the POST /v1/sweep body: asmp-sweep's flags as JSON
+// (core.SweepSpec, decoded by the same function), with the CLI's
+// defaults except runs, where 0 means 3.
 type sweepRequest struct {
-	Workload string   `json:"workload"`
-	Configs  []string `json:"configs"` // empty = the paper's nine
-	Runs     int      `json:"runs"`    // 0 = 3
-	Policy   string   `json:"policy"`  // "" = naive
-	Seed     uint64   `json:"seed"`    // 0 = 1
-	Fault    string   `json:"fault"`
-	// Timeout is the per-run virtual-time watchdog ("30s", "2min"):
-	// simulated time, not wall time. Wall time is DeadlineMs.
-	Timeout    string `json:"timeout"`
-	Retries    int    `json:"retries"`
-	DeadlineMs int64  `json:"deadlineMs"`
+	core.SweepSpec
+	// DeadlineMs is the wall-clock deadline; not part of the sweep's
+	// identity.
+	DeadlineMs int64 `json:"deadlineMs"`
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -315,119 +307,22 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", err.Error(), nil)
 		return
 	}
-	wl, err := workloadByName(req.Workload)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error(), nil)
-		return
-	}
-	pol, err := parsePolicy(req.Policy)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error(), nil)
-		return
-	}
 	if req.Runs == 0 {
 		req.Runs = 3
 	}
-	if req.Runs < 1 {
-		writeError(w, http.StatusBadRequest, "bad_request",
-			fmt.Sprintf("runs must be at least 1, got %d", req.Runs), nil)
+	exp, err := req.Experiment("")
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad_request", err.Error(), nil)
 		return
-	}
-	if req.Retries < 0 {
-		writeError(w, http.StatusBadRequest, "bad_request",
-			fmt.Sprintf("retries must be non-negative, got %d", req.Retries), nil)
-		return
-	}
-	if req.Seed == 0 {
-		req.Seed = 1
-	}
-	var cfgs []cpu.Config
-	for _, cs := range req.Configs {
-		c, err := cpu.ParseConfig(cs)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", err.Error(), nil)
-			return
-		}
-		cfgs = append(cfgs, c)
-	}
-	var plan *fault.Plan
-	if req.Fault != "" {
-		plan, err = fault.Parse(req.Fault)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", err.Error(), nil)
-			return
-		}
-		swept := cfgs
-		if len(swept) == 0 {
-			swept = cpu.StandardConfigs
-		}
-		for _, c := range swept {
-			if err := plan.Validate(c.Fast + c.Slow); err != nil {
-				writeError(w, http.StatusBadRequest, "bad_request",
-					fmt.Sprintf("fault plan does not fit %s: %v", c, err), nil)
-				return
-			}
-		}
-	}
-	var limits sim.Limits
-	if req.Timeout != "" {
-		d, err := fault.ParseDuration(req.Timeout)
-		if err != nil || d <= 0 {
-			writeError(w, http.StatusBadRequest, "bad_request",
-				fmt.Sprintf("bad timeout %q (want e.g. 30s, 500ms, 2min)", req.Timeout), nil)
-			return
-		}
-		limits.MaxVirtualTime = d
 	}
 	deadline, err := s.resolveDeadline(req.DeadlineMs)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", err.Error(), nil)
 		return
 	}
-
-	key := sweepKey(req, cfgs, pol, plan, limits)
-	exp := core.Experiment{
-		Name:     fmt.Sprintf("%s (%s scheduler, %d runs)", wl.Name(), pol, req.Runs),
-		Workload: wl,
-		Configs:  cfgs,
-		Runs:     req.Runs,
-		Sched:    sched.Defaults(pol),
-		BaseSeed: req.Seed,
-		Fault:    plan,
-		Limits:   limits,
-		Retries:  req.Retries,
-	}
-	s.dispatch(w, r, key, s.sweepExec(exp), deadline, "")
-}
-
-// sweepKey canonicalises a sweep's identity: every field that reaches
-// the simulation, normalised (defaults applied, configs re-rendered),
-// and nothing that doesn't (deadline). Identical keys are the licence
-// to coalesce.
-func sweepKey(req sweepRequest, cfgs []cpu.Config, pol sched.Policy, plan *fault.Plan, limits sim.Limits) string {
-	var b strings.Builder
-	b.WriteString("sweep|w=")
-	b.WriteString(req.Workload)
-	b.WriteString("|policy=")
-	b.WriteString(pol.String())
-	b.WriteString("|configs=")
-	if len(cfgs) == 0 {
-		b.WriteString("standard")
-	} else {
-		for i, c := range cfgs {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(c.String())
-		}
-	}
-	fmt.Fprintf(&b, "|runs=%d|seed=%d|retries=%d", req.Runs, req.Seed, req.Retries)
-	b.WriteString("|fault=")
-	if !plan.Empty() {
-		b.WriteString(plan.String())
-	}
-	fmt.Fprintf(&b, "|vt=%d", int64(limits.MaxVirtualTime))
-	return b.String()
+	// Identical identities are the licence to coalesce: everything that
+	// reaches a cell, normalised, and nothing that doesn't (deadline).
+	s.dispatch(w, r, exp.Identity(), s.sweepExec(exp), deadline, "")
 }
 
 // ---- figure ----
@@ -507,15 +402,4 @@ func decodeBody(r *http.Request, into any) error {
 		return fmt.Errorf("bad request body: %w", err)
 	}
 	return nil
-}
-
-// parsePolicy mirrors the CLIs' -policy flag ("" = naive); every named
-// policy defers to sched.ParsePolicy, the single source of truth, so
-// the server accepts exactly what the CLIs accept — short and
-// canonical String() forms alike.
-func parsePolicy(s string) (sched.Policy, error) {
-	if s == "" {
-		return sched.PolicyNaive, nil
-	}
-	return sched.ParsePolicy(s)
 }

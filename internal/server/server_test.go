@@ -24,7 +24,10 @@ import (
 	"time"
 
 	"asmp/internal/core"
+	"asmp/internal/cpu"
 	"asmp/internal/figures"
+	"asmp/internal/sched"
+	"asmp/internal/workload"
 )
 
 // startServer launches a daemon over httptest. Unless drainManually is
@@ -178,6 +181,22 @@ func TestRunEndpointDeterministic(t *testing.T) {
 	}
 }
 
+// TestEveryWorkloadHasCellKey: POST /v1/run coalesces on core.CellKey,
+// which is empty for a workload without an identity; every registered
+// workload must have one, or its requests would share one flight.
+func TestEveryWorkloadHasCellKey(t *testing.T) {
+	for _, name := range workload.Names() {
+		wl, err := workload.New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := core.RunSpec{Workload: wl, Config: cpu.StandardConfigs[0], Sched: sched.Defaults(sched.PolicyNaive), Seed: 1}
+		if core.CellKey(spec) == "" {
+			t.Errorf("workload %s has no cell key", name)
+		}
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	_, ts := startServer(t, Options{Workers: 1}, false)
 	cases := []struct {
@@ -328,6 +347,59 @@ func TestConcurrentIdenticalSweepsCoalesce(t *testing.T) {
 
 	if st := s.StatsSnapshot(); st.Coalesced < n-1 {
 		t.Fatalf("coalesced = %d, want >= %d (the %d duplicates shared one flight)", st.Coalesced, n-1, n)
+	}
+}
+
+// TestSweepSpellingsCoalesce: two bodies naming one sweep differently
+// (the configs omitted, and the paper's nine listed) share one flight,
+// because the key is the sweep's Identity rather than its spelling.
+func TestSweepSpellingsCoalesce(t *testing.T) {
+	core.ResetMemo()
+	s, ts := startServer(t, Options{Workers: 1, QueueDepth: 8}, false)
+
+	// Hold the only worker with a cold sweep (its crit-policy cells are
+	// unique to this test) so the first spelling is still queued when
+	// the second arrives.
+	blockerDone := make(chan postResult, 1)
+	go func() {
+		blockerDone <- post(ts.URL+"/v1/sweep", `{"workload":"specjbb","policy":"crit","seed":21}`)
+	}()
+	for s.StatsSnapshot().Requests < 1 {
+		time.Sleep(time.Millisecond)
+	}
+	var nine []string
+	for _, c := range cpu.StandardConfigs {
+		nine = append(nine, `"`+c.String()+`"`)
+	}
+	bodies := []string{
+		`{"workload":"specjbb","policy":"little","runs":1}`,
+		`{"workload":"specjbb","policy":"big-little","runs":1,"seed":1,"configs":[` + strings.Join(nine, ",") + `]}`,
+	}
+	before := s.StatsSnapshot().Coalesced
+	results := make(chan postResult, len(bodies))
+	for i, body := range bodies {
+		go func() { results <- post(ts.URL+"/v1/sweep", body) }()
+		for s.StatsSnapshot().Requests < uint64(2+i) {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	var first []byte
+	for range bodies {
+		r := <-results
+		if r.err != nil || r.code != 200 {
+			t.Fatalf("sweep = %d (err %v): %s", r.code, r.err, r.body)
+		}
+		if first == nil {
+			first = r.body
+		} else if !bytes.Equal(first, r.body) {
+			t.Fatalf("one sweep, two answers:\n%s\n%s", first, r.body)
+		}
+	}
+	if r := <-blockerDone; r.err != nil || r.code != 200 {
+		t.Fatalf("blocker sweep = %d (err %v)", r.code, r.err)
+	}
+	if got := s.StatsSnapshot().Coalesced - before; got != 1 {
+		t.Fatalf("coalesced went up by %d, want 1: the two spellings ran as separate flights", got)
 	}
 }
 

@@ -270,6 +270,18 @@ func TestSuperviseStreamRefusesBadRecords(t *testing.T) {
 			w := journal.Stream(stdout, nil)
 			return w.WriteHeader(other.JournalHeader())
 		}, 2},
+		// A worker decoding a different -timeout or -retries streams the
+		// same cells under its own header; the header alone betrays it.
+		{"foreign-timeout", func(r core.ShardRange, stdout io.Writer) error {
+			other := exp
+			other.Limits.MaxVirtualTime = 1e6
+			return Worker(other, r, "", stdout, nil)
+		}, 2},
+		{"foreign-retries", func(r core.ShardRange, stdout io.Writer) error {
+			other := exp
+			other.Retries++
+			return Worker(other, r, "", stdout, nil)
+		}, 2},
 		{"silent-exit", func(core.ShardRange, io.Writer) error { return nil }, 2},
 		{"duplicate", func(r core.ShardRange, stdout io.Writer) error {
 			if err := Worker(exp, r, "", stdout, nil); err != nil {
