@@ -20,40 +20,23 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"time"
 
-	"asmp/internal/core"
-	"asmp/internal/faultio"
+	"asmp/internal/cli"
 	"asmp/internal/figures"
 	"asmp/internal/journal"
-	"asmp/internal/profiling"
-	"asmp/internal/resultcache"
 )
 
 // exitCancelled is the exit code for an interrupted run (128+SIGINT,
 // the shell convention).
 const exitCancelled = 130
 
-func main() {
-	cancel := make(chan struct{})
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sig
-		close(cancel)
-		// A second signal terminates immediately via default handling.
-		signal.Stop(sig)
-	}()
-	os.Exit(runWith(os.Args[1:], os.Stdout, os.Stderr, cancel))
-}
+func main() { cli.Main(runWith) }
 
 // run is the testable entry point: it parses args, writes to the given
 // streams and returns the process exit code. Every error path prints a
@@ -66,80 +49,37 @@ func run(args []string, stdout, stderr io.Writer) int {
 // SIGINT handler, or by tests). Cancellation is honoured at figure
 // granularity: the figure in flight completes, later ones are skipped.
 func runWith(args []string, stdout, stderr io.Writer, cancel <-chan struct{}) (code int) {
-	// -crashat N is a hidden flag (absent from -h): it tears the
-	// journal's write stream at byte N through an injected fault sink,
-	// for end-to-end crash-matrix exercise (DESIGN.md §9).
-	args, crashAt, crashSet, cerr := faultio.ExtractCrashAt(args)
-	if cerr != nil {
-		fmt.Fprintln(stderr, "asmp-run:", cerr)
-		return 2
-	}
-	fs := flag.NewFlagSet("asmp-run", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	fs := cli.NewFlagSet("asmp-run", stderr)
 	var (
-		fig      = fs.String("fig", "", "figure id to regenerate (e.g. 1a, 4b, 10, table1, micro, fault)")
-		all      = fs.Bool("all", false, "regenerate every figure")
-		list     = fs.Bool("list", false, "list available figures")
-		quick    = fs.Bool("quick", false, "fewer repetitions (faster, same shapes)")
-		csv      = fs.Bool("csv", false, "emit CSV instead of aligned text")
-		seed     = fs.Uint64("seed", 1, "base random seed")
-		out      = fs.String("out", "", "directory to also write per-figure .txt and .csv files into")
-		journalP = fs.String("journal", "", "append every completed figure to this JSONL journal (enables -resume)")
-		resume   = fs.Bool("resume", false, "replay figures recorded in -journal, regenerating only missing ones")
-		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file (observability only; output is unaffected)")
-		memProf  = fs.String("memprofile", "", "write an allocation profile to this file on exit")
-		workers  = fs.Int("workers", 0, "host worker-pool size for figure regeneration: 0 = GOMAXPROCS, 1 = sequential (results are identical either way)")
-		cacheDir = fs.String("cache-dir", resultcache.DirFromEnv(), "disk result-cache directory shared across processes (default $ASMP_CACHE_DIR; empty = no cache; results are identical either way)")
-		noCache  = fs.Bool("no-cache", false, "ignore -cache-dir and $ASMP_CACHE_DIR: simulate every cell")
-		cacheMax = fs.Int("cache-max-mb", resultcache.MaxMBFromEnv(), "size cap for -cache-dir in MiB, enforced LRU (default $ASMP_CACHE_MAX_MB; 0 = uncapped)")
+		fig   = fs.String("fig", "", "figure id to regenerate (e.g. 1a, 4b, 10, table1, micro, fault)")
+		all   = fs.Bool("all", false, "regenerate every figure")
+		list  = fs.Bool("list", false, "list available figures")
+		quick = fs.Bool("quick", false, "fewer repetitions (faster, same shapes)")
+		csv   = fs.Bool("csv", false, "emit CSV instead of aligned text")
+		seed  = fs.Uint64("seed", 1, "base random seed")
+		out   = fs.String("out", "", "directory to also write per-figure .txt and .csv files into")
+		jf    = cli.JournalFlags(fs, "figure")
+		prof  = cli.ProfileFlags(fs)
+		host  = cli.HostFlags(fs)
 	)
-	if err := fs.Parse(args); err != nil {
+	if !cli.Parse(fs, args) {
 		return 2
 	}
-	if fs.NArg() > 0 {
-		fmt.Fprintf(stderr, "asmp-run: unexpected argument %q (flags only)\n", fs.Arg(0))
-		return 2
+	wrap, err := jf.Check()
+	if err == nil {
+		err = host.SetWorkers()
 	}
-	if *resume && *journalP == "" {
-		fmt.Fprintln(stderr, "asmp-run: -resume requires -journal")
-		return 2
+	if err == nil {
+		err = host.AttachCache()
 	}
-	if *workers < 0 {
-		fmt.Fprintf(stderr, "asmp-run: -workers must be non-negative, got %d\n", *workers)
-		return 2
+	if err == nil {
+		err = prof.Start()
 	}
-	core.SetDefaultWorkers(*workers)
-	if err := attachCache(*cacheDir, *noCache, *cacheMax); err != nil {
-		fmt.Fprintln(stderr, "asmp-run:", err)
-		return 2
-	}
-	var wrap journal.WrapSink
-	if crashSet {
-		if *journalP == "" {
-			fmt.Fprintln(stderr, "asmp-run: -crashat requires -journal")
-			return 2
-		}
-		wrap = faultio.Plan{Tear: true, TearAt: crashAt, Seed: *seed}.Wrap()
-	}
-	stopCPU, err := profiling.StartCPU(*cpuProf)
 	if err != nil {
 		fmt.Fprintln(stderr, "asmp-run:", err)
 		return 2
 	}
-	defer func() {
-		if err := stopCPU(); err != nil {
-			fmt.Fprintln(stderr, "asmp-run:", err)
-			if code == 0 {
-				code = 1
-			}
-		}
-		if err := profiling.WriteHeap(*memProf); err != nil {
-			fmt.Fprintln(stderr, "asmp-run:", err)
-			if code == 0 {
-				code = 1
-			}
-		}
-	}()
+	defer prof.Stop(&code)
 
 	var figs []figures.Figure
 	switch {
@@ -163,43 +103,30 @@ func runWith(args []string, stdout, stderr io.Writer, cancel <-chan struct{}) (c
 		return 2
 	}
 
-	var (
-		jw   *journal.Writer
-		jlog *journal.Log
-	)
-	if *journalP != "" {
-		var err error
-		if *resume {
-			jlog, jw, err = journal.ResumeVia(*journalP, wrap)
-			if err == nil {
-				if jlog.Dropped > 0 {
-					fmt.Fprintf(stderr, "asmp-run: journal had a corrupt tail (%d line(s), the interrupted write); truncated\n", jlog.Dropped)
-				}
-				err = validateHeader(jlog, *seed, *quick)
-			}
-		} else {
-			jw, err = journal.CreateVia(*journalP, wrap)
-			if err == nil {
-				err = jw.WriteHeader(journal.Header{Tool: "asmp-run", BaseSeed: *seed, Quick: *quick})
+	jlog, jw, err := jf.Open(wrap)
+	switch {
+	case err != nil:
+	case jlog != nil:
+		err = validateHeader(jlog, *seed, *quick)
+	case jw != nil:
+		err = jw.WriteHeader(journal.Header{Tool: "asmp-run", BaseSeed: *seed, Quick: *quick})
+	}
+	if err != nil {
+		if jw != nil {
+			if cerr := jw.Close(); cerr != nil {
+				fmt.Fprintln(stderr, "asmp-run:", cerr)
 			}
 		}
-		if err != nil {
-			if jw != nil {
-				if cerr := jw.Close(); cerr != nil {
-					fmt.Fprintln(stderr, "asmp-run:", cerr)
-				}
-			}
-			fmt.Fprintln(stderr, "asmp-run:", err)
-			return 2
-		}
+		fmt.Fprintln(stderr, "asmp-run:", err)
+		return 2
 	}
 
 	opt := figures.Options{Quick: *quick, Seed: *seed}
 	for _, f := range figs {
 		if isCancelled(cancel) {
 			fmt.Fprintf(stderr, "asmp-run: interrupted before figure %s\n", f.ID)
-			if *journalP != "" {
-				fmt.Fprintf(stderr, "asmp-run: rerun with -journal %s -resume to complete\n", *journalP)
+			if jf.Path != "" {
+				fmt.Fprintf(stderr, "asmp-run: rerun with -journal %s -resume to complete\n", jf.Path)
 			}
 			code = exitCancelled
 			break
@@ -226,19 +153,6 @@ func runWith(args []string, stdout, stderr io.Writer, cancel <-chan struct{}) (c
 		}
 	}
 	return code
-}
-
-// attachCache attaches (or, with noCache or an empty dir, detaches)
-// the process-wide disk result cache. Always called, so repeated
-// in-process invocations (tests) never inherit a previous run's cache.
-// Caching is a pure wall-clock optimisation: stdout, figures, journals
-// and digests are byte-identical with a cold cache, a warm cache, or
-// -no-cache (DESIGN.md §12).
-func attachCache(dir string, noCache bool, maxMB int) error {
-	if noCache {
-		dir = ""
-	}
-	return core.AttachResultCache(dir, maxMB)
 }
 
 // validateHeader checks a resumed journal was written by asmp-run with

@@ -22,7 +22,6 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"io"
 	"net"
@@ -32,8 +31,7 @@ import (
 	"syscall"
 	"time"
 
-	"asmp/internal/core"
-	"asmp/internal/resultcache"
+	"asmp/internal/cli"
 	"asmp/internal/server"
 )
 
@@ -53,28 +51,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 // runWith is run with the channel that delivers shutdown signals. The
 // daemon serves until a signal arrives, then drains and exits 0.
 func runWith(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
-	fs := flag.NewFlagSet("asmp-serve", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	fs := cli.NewFlagSet("asmp-serve", stderr)
 	var (
 		addr         = fs.String("addr", "127.0.0.1:8377", "listen address (host:port; port 0 picks a free port, printed on stderr)")
-		workers      = fs.Int("workers", 0, "host worker-pool size for request execution and cell parallelism: 0 = GOMAXPROCS, 1 = sequential")
+		host         = cli.HostFlags(fs)
 		queue        = fs.Int("queue", 0, "admitted-but-not-executing request bound: 0 = 2x workers; a full queue sheds with 429")
 		deadline     = fs.Duration("deadline", 30*time.Second, "default per-request wall deadline (requests may ask for less, or more up to -max-deadline)")
 		maxDeadline  = fs.Duration("max-deadline", 5*time.Minute, "hard cap on any request's deadline")
 		drainTimeout = fs.Duration("drain-timeout", 10*time.Second, "how long a drain lets in-flight work finish before cancelling it")
-		cacheDir     = fs.String("cache-dir", resultcache.DirFromEnv(), "disk result-cache directory shared with CLIs and other daemons (default $ASMP_CACHE_DIR; empty = no cache; responses are identical either way)")
-		noCache      = fs.Bool("no-cache", false, "ignore -cache-dir and $ASMP_CACHE_DIR: simulate every cell")
-		cacheMax     = fs.Int("cache-max-mb", resultcache.MaxMBFromEnv(), "size cap for -cache-dir in MiB, enforced LRU (default $ASMP_CACHE_MAX_MB; 0 = uncapped)")
 	)
-	if err := fs.Parse(args); err != nil {
+	if !cli.Parse(fs, args) {
 		return 2
 	}
-	if fs.NArg() > 0 {
-		fmt.Fprintf(stderr, "asmp-serve: unexpected argument %q (flags only)\n", fs.Arg(0))
-		return 2
-	}
-	if *workers < 0 {
-		fmt.Fprintf(stderr, "asmp-serve: -workers must be non-negative, got %d\n", *workers)
+	if err := host.SetWorkers(); err != nil {
+		fmt.Fprintln(stderr, "asmp-serve:", err)
 		return 2
 	}
 	if *queue < 0 {
@@ -93,22 +83,17 @@ func runWith(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int 
 		fmt.Fprintf(stderr, "asmp-serve: -drain-timeout must be positive, got %v\n", *drainTimeout)
 		return 2
 	}
-	core.SetDefaultWorkers(*workers)
 	// The disk result cache survives daemon restarts (unlike the
 	// in-memory memo), so a restarted daemon warm-hits cells its
 	// predecessor simulated; /stats exposes the hit/miss/refused
-	// counters. Detached with -no-cache or no dir.
-	dir := *cacheDir
-	if *noCache {
-		dir = ""
-	}
-	if err := core.AttachResultCache(dir, *cacheMax); err != nil {
+	// counters.
+	if err := host.AttachCache(); err != nil {
 		fmt.Fprintln(stderr, "asmp-serve:", err)
 		return 1
 	}
 
 	srv := server.New(server.Options{
-		Workers:         *workers,
+		Workers:         host.Workers,
 		QueueDepth:      *queue,
 		DefaultDeadline: *deadline,
 		MaxDeadline:     *maxDeadline,

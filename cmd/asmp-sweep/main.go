@@ -24,20 +24,15 @@ package main
 
 import (
 	"errors"
-	"flag"
 	"fmt"
 	"io"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 
+	"asmp/internal/cli"
 	"asmp/internal/core"
 	"asmp/internal/faultio"
 	"asmp/internal/journal"
-	"asmp/internal/profiling"
 	"asmp/internal/report"
-	"asmp/internal/resultcache"
 	"asmp/internal/sched"
 	"asmp/internal/shard"
 	"asmp/internal/workload"
@@ -57,18 +52,7 @@ import (
 // to core.ErrCancelled, so the two must agree.
 const exitCancelled = shard.ExitCancelled
 
-func main() {
-	cancel := make(chan struct{})
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sig
-		close(cancel)
-		// A second signal terminates immediately via default handling.
-		signal.Stop(sig)
-	}()
-	os.Exit(runWith(os.Args[1:], os.Stdout, os.Stderr, cancel))
-}
+func main() { cli.Main(runWith) }
 
 // run is the testable entry point: it parses args, writes to the given
 // streams and returns the process exit code. Every error path prints a
@@ -80,27 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // runWith is run with an explicit cancel signal (closed by main's
 // SIGINT handler, or by tests).
 func runWith(args []string, stdout, stderr io.Writer, cancel <-chan struct{}) (code int) {
-	// -crashat N is a hidden flag (absent from -h): it tears the
-	// journal's write stream at byte N through an injected fault sink,
-	// leaving exactly the file a crash at that byte would leave. It
-	// exists so the crash-consistency matrix (DESIGN.md §9) can be
-	// exercised end to end against the real CLI.
-	args, crashAt, crashSet, cerr := faultio.ExtractCrashAt(args)
-	if cerr != nil {
-		fmt.Fprintln(stderr, "asmp-sweep:", cerr)
-		return 2
-	}
-	// -shardworker index/of:lo-hi is the other hidden flag: it puts the
-	// process in shard-worker mode — execute one slice of the cell grid
-	// and stream its records to stdout instead of a report. Only the
-	// -shards supervisor spawns it (see internal/shard.ExecRunner).
-	args, workerRange, isWorker, serr := shard.ExtractWorker(args)
-	if serr != nil {
-		fmt.Fprintln(stderr, "asmp-sweep:", serr)
-		return 2
-	}
-	fs := flag.NewFlagSet("asmp-sweep", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	fs := cli.NewFlagSet("asmp-sweep", stderr)
 	// The sweep's own flags bind straight into the shared spec; core
 	// decodes and validates them exactly as it does a /v1/sweep body.
 	var spec core.SweepSpec
@@ -118,47 +82,34 @@ func runWith(args []string, stdout, stderr io.Writer, cancel <-chan struct{}) (c
 	fs.StringVar(&spec.Fault, "fault", "", `fault plan injected into every run, e.g. "throttle@1.5s:0:0.125,restore@3.5s:0"`)
 	fs.StringVar(&spec.Timeout, "timeout", "", "virtual-time watchdog per run, e.g. 30s or 2min (wedged runs become ERR cells)")
 	fs.IntVar(&spec.Retries, "retries", 0, "retry each failed run up to N times with a fresh derived seed")
+	// -shardworker index/of:lo-hi puts the process in shard-worker mode:
+	// execute one slice of the cell grid and stream its records to
+	// stdout instead of a report. Only the -shards supervisor spawns it
+	// (see internal/shard.ExecRunner).
+	var worker *core.ShardRange
+	cli.Hidden(fs, "shardworker", func(v string) error {
+		r, err := core.ParseShardRange(v)
+		worker = &r
+		return err
+	})
 	var (
 		list     = fs.Bool("list", false, "list registered workloads")
 		csv      = fs.Bool("csv", false, "emit CSV")
-		journalP = fs.String("journal", "", "append every completed cell to this JSONL journal (enables -resume)")
-		resume   = fs.Bool("resume", false, "resume the sweep recorded in -journal, re-executing only missing or failed cells")
+		jf       = cli.JournalFlags(fs, "cell")
 		shards   = fs.Int("shards", 0, "run the sweep's cells on N supervised worker processes that stream their records into -journal, byte-identical to an unsharded -workers 1 journal (requires -journal; combines with -resume)")
 		shardRet = fs.Int("shardretries", 2, "respawn budget per shard before its cells degrade to ERR (with -shards)")
 		verify   = fs.Int("verify", 0, "audit determinism instead of sweeping: run each cell N times (min 2) and require bit-identical digests")
-		workers  = fs.Int("workers", 0, "host worker-pool size for cell execution: 0 = GOMAXPROCS, 1 = sequential (results are identical either way)")
-		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file (observability only; output is unaffected)")
-		memProf  = fs.String("memprofile", "", "write an allocation profile to this file on exit")
-		cacheDir = fs.String("cache-dir", resultcache.DirFromEnv(), "disk result-cache directory shared across processes and shard workers (default $ASMP_CACHE_DIR; empty = no cache; results are identical either way)")
-		noCache  = fs.Bool("no-cache", false, "ignore -cache-dir and $ASMP_CACHE_DIR: simulate every cell")
-		cacheMax = fs.Int("cache-max-mb", resultcache.MaxMBFromEnv(), "size cap for -cache-dir in MiB, enforced LRU (default $ASMP_CACHE_MAX_MB; 0 = uncapped)")
+		prof     = cli.ProfileFlags(fs)
+		host     = cli.HostFlags(fs)
 	)
-	if err := fs.Parse(args); err != nil {
+	if !cli.Parse(fs, args) {
 		return 2
 	}
-	if fs.NArg() > 0 {
-		fmt.Fprintf(stderr, "asmp-sweep: unexpected argument %q (flags only)\n", fs.Arg(0))
+	if err := prof.Start(); err != nil {
+		fmt.Fprintln(stderr, "asmp-sweep:", err)
 		return 2
 	}
-	stopCPU, perr := profiling.StartCPU(*cpuProf)
-	if perr != nil {
-		fmt.Fprintln(stderr, "asmp-sweep:", perr)
-		return 2
-	}
-	defer func() {
-		if err := stopCPU(); err != nil {
-			fmt.Fprintln(stderr, "asmp-sweep:", err)
-			if code == 0 {
-				code = 1
-			}
-		}
-		if err := profiling.WriteHeap(*memProf); err != nil {
-			fmt.Fprintln(stderr, "asmp-sweep:", err)
-			if code == 0 {
-				code = 1
-			}
-		}
-	}()
+	defer prof.Stop(&code)
 
 	if *list {
 		for _, n := range workload.Names() {
@@ -170,58 +121,39 @@ func runWith(args []string, stdout, stderr io.Writer, cancel <-chan struct{}) (c
 		fs.Usage()
 		return 2
 	}
-	tearSeed := spec.Seed // -seed as given: Experiment canonicalises 0 to 1
 	exp, err := spec.Experiment("-")
+	if err == nil {
+		err = host.SetWorkers()
+	}
+	if err == nil {
+		// Caching only changes wall time: reports, journals and digests
+		// are byte-identical either way (DESIGN.md §12). Shard workers
+		// share the supervisor's cache, which is what lets a respawned
+		// worker warm-hit its dead predecessor's cells.
+		err = host.AttachCache()
+	}
+	var wrap journal.WrapSink
+	if err == nil {
+		wrap, err = jf.Check()
+	}
 	if err != nil {
 		fmt.Fprintln(stderr, "asmp-sweep:", err)
 		return 2
 	}
 	exp.Cancel = cancel
-	if *workers < 0 {
-		fmt.Fprintf(stderr, "asmp-sweep: -workers must be non-negative, got %d\n", *workers)
-		return 2
-	}
-	core.SetDefaultWorkers(*workers)
-	// Attach (or, with -no-cache or no dir, detach) the disk result
-	// cache. Always set, so repeated in-process invocations (tests)
-	// never inherit a previous run's cache. Caching only changes wall
-	// time: reports, journals and digests are byte-identical either way
-	// (DESIGN.md §12). Shard workers inherit the supervisor's dir via
-	// $ASMP_CACHE_DIR (shard.ExecRunner exports it), which is what lets
-	// a respawned worker warm-hit its dead predecessor's cells.
-	dir := *cacheDir
-	if *noCache {
-		dir = ""
-	}
-	if err := core.AttachResultCache(dir, *cacheMax); err != nil {
-		fmt.Fprintln(stderr, "asmp-sweep:", err)
-		return 2
-	}
-	if *resume && *journalP == "" {
-		fmt.Fprintln(stderr, "asmp-sweep: -resume requires -journal")
-		return 2
-	}
 	if *shards < 0 || *shardRet < 0 {
 		fmt.Fprintln(stderr, "asmp-sweep: -shards and -shardretries must be non-negative")
 		return 2
 	}
-	if *shards > 0 && *journalP == "" {
+	if *shards > 0 && jf.Path == "" {
 		fmt.Fprintln(stderr, "asmp-sweep: -shards requires -journal (the journal the workers' records are appended to)")
 		return 2
 	}
-	if *shards > 0 && isWorker {
+	if *shards > 0 && worker != nil {
 		fmt.Fprintln(stderr, "asmp-sweep: a shard worker cannot itself be a supervisor")
 		return 2
 	}
-	var wrap journal.WrapSink
-	if crashSet {
-		if *journalP == "" {
-			fmt.Fprintln(stderr, "asmp-sweep: -crashat requires -journal")
-			return 2
-		}
-		wrap = faultio.Plan{Tear: true, TearAt: crashAt, Seed: tearSeed}.Wrap()
-	}
-	if *verify > 0 && (*journalP != "" || *resume || *shards > 0) {
+	if *verify > 0 && (jf.Path != "" || jf.Resume || *shards > 0) {
 		fmt.Fprintln(stderr, "asmp-sweep: -verify is an audit, not a sweep; it does not combine with -journal/-resume/-shards")
 		return 2
 	}
@@ -229,45 +161,18 @@ func runWith(args []string, stdout, stderr io.Writer, cancel <-chan struct{}) (c
 	if *verify > 0 {
 		return runVerify(exp, *verify, stdout, stderr)
 	}
-	if isWorker {
+	if worker != nil {
 		resumeFrom := ""
-		if *resume {
-			resumeFrom = *journalP
+		if jf.Resume {
+			resumeFrom = jf.Path
 		}
-		return runWorker(exp, workerRange, resumeFrom, wrap, stdout, stderr)
+		return runWorker(exp, *worker, resumeFrom, wrap, stdout, stderr)
 	}
 
-	var log *journal.Log
-	var jw *journal.Writer
-	switch {
-	case *journalP != "" && *resume:
-		log, jw, err = journal.ResumeVia(*journalP, wrap)
-		if err != nil {
-			var de *journal.DamagedError
-			if errors.As(err, &de) {
-				// The message carries the first-invalid byte offset; set
-				// the file aside so the operator can rerun immediately
-				// and still inspect the damage.
-				fmt.Fprintln(stderr, "asmp-sweep:", err)
-				if aside, aerr := journal.SetAside(*journalP); aerr != nil {
-					fmt.Fprintf(stderr, "asmp-sweep: could not set the damaged journal aside: %v\n", aerr)
-				} else {
-					fmt.Fprintf(stderr, "asmp-sweep: damaged journal set aside to %s; rerun with -journal %s to start a fresh sweep\n", aside, *journalP)
-				}
-				return 2
-			}
-			fmt.Fprintln(stderr, "asmp-sweep:", err)
-			return 2
-		}
-		if log.Dropped > 0 {
-			fmt.Fprintf(stderr, "asmp-sweep: journal had a corrupt tail (%d line(s), the interrupted write); truncated\n", log.Dropped)
-		}
-	case *journalP != "":
-		jw, err = journal.CreateVia(*journalP, wrap)
-		if err != nil {
-			fmt.Fprintln(stderr, "asmp-sweep:", err)
-			return 2
-		}
+	log, jw, err := jf.Open(wrap)
+	if err != nil {
+		fmt.Fprintln(stderr, "asmp-sweep:", err)
+		return 2
 	}
 	exp.Journal = jw
 
@@ -278,11 +183,11 @@ func runWith(args []string, stdout, stderr io.Writer, cancel <-chan struct{}) (c
 		// -shardworker is appended per spawn, and a resuming worker
 		// reads the journal to skip the cells it already holds.
 		workerArgs := spec.Args()
-		if *workers != 0 {
-			workerArgs = append(workerArgs, "-workers", fmt.Sprint(*workers))
+		if host.Workers != 0 {
+			workerArgs = append(workerArgs, "-workers", fmt.Sprint(host.Workers))
 		}
 		if log != nil {
-			workerArgs = append(workerArgs, "-journal", *journalP, "-resume")
+			workerArgs = append(workerArgs, "-journal", jf.Path, "-resume")
 		}
 		var failed int
 		out, failed = runSharded(exp, log, *shards, *shardRet, workerArgs, stderr, cancel)
@@ -307,7 +212,7 @@ func runWith(args []string, stdout, stderr io.Writer, cancel <-chan struct{}) (c
 	if out.JournalErr != nil {
 		fmt.Fprintf(stderr, "asmp-sweep: journal incomplete (do not resume from it): %v\n", out.JournalErr)
 		if errors.Is(out.JournalErr, faultio.ErrInjected) {
-			fmt.Fprintf(stderr, "asmp-sweep: injected crash: journal torn at byte %d\n", crashAt)
+			fmt.Fprintf(stderr, "asmp-sweep: injected crash: journal torn at byte %d\n", jf.TearAt)
 		}
 	}
 	if jw != nil {
@@ -338,8 +243,8 @@ func runWith(args []string, stdout, stderr io.Writer, cancel <-chan struct{}) (c
 	}
 	if cancelled > 0 {
 		fmt.Fprintf(stderr, "asmp-sweep: interrupted: %d run(s) cancelled\n", cancelled)
-		if *journalP != "" {
-			fmt.Fprintf(stderr, "asmp-sweep: rerun with -journal %s -resume to complete the sweep\n", *journalP)
+		if jf.Path != "" {
+			fmt.Fprintf(stderr, "asmp-sweep: rerun with -journal %s -resume to complete the sweep\n", jf.Path)
 		}
 		return exitCancelled
 	}

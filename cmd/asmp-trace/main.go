@@ -13,15 +13,12 @@ package main
 
 import (
 	"errors"
-	"flag"
 	"fmt"
 	"io"
-	"os"
-	"os/signal"
 	"sort"
 	"strings"
-	"syscall"
 
+	"asmp/internal/cli"
 	"asmp/internal/core"
 	"asmp/internal/cpu"
 	"asmp/internal/fault"
@@ -43,18 +40,7 @@ import (
 // the shell convention).
 const exitCancelled = 130
 
-func main() {
-	cancel := make(chan struct{})
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sig
-		close(cancel)
-		// A second signal terminates immediately via default handling.
-		signal.Stop(sig)
-	}()
-	os.Exit(runWith(os.Args[1:], os.Stdout, os.Stderr, cancel))
-}
+func main() { cli.Main(runWith) }
 
 // run is the testable entry point: it parses args, writes to the given
 // streams and returns the process exit code. Every error path prints a
@@ -69,8 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // captured up to the interruption — the microscope works on partial
 // observations too.
 func runWith(args []string, stdout, stderr io.Writer, cancel <-chan struct{}) int {
-	fs := flag.NewFlagSet("asmp-trace", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	fs := cli.NewFlagSet("asmp-trace", stderr)
 	var (
 		name     = fs.String("workload", "specjbb", "registered workload name")
 		cfgName  = fs.String("config", "2f-2s/8", "machine configuration (nf-ms/scale)")
@@ -82,11 +67,7 @@ func runWith(args []string, stdout, stderr io.Writer, cancel <-chan struct{}) in
 		faultStr = fs.String("fault", "", `fault plan injected into the run, e.g. "offline@1.5s:0,online@3.5s:0"`)
 		timeout  = fs.String("timeout", "", "virtual-time watchdog, e.g. 30s or 2min")
 	)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if fs.NArg() > 0 {
-		fmt.Fprintf(stderr, "asmp-trace: unexpected argument %q (flags only)\n", fs.Arg(0))
+	if !cli.Parse(fs, args) {
 		return 2
 	}
 
@@ -100,7 +81,7 @@ func runWith(args []string, stdout, stderr io.Writer, cancel <-chan struct{}) in
 		fmt.Fprintln(stderr, "asmp-trace:", err)
 		return 2
 	}
-	pol, err := sched.ParsePolicy(*policy)
+	pol, err := core.ParsePolicy(*policy)
 	if err != nil {
 		fmt.Fprintln(stderr, "asmp-trace:", err)
 		return 2
@@ -121,14 +102,10 @@ func runWith(args []string, stdout, stderr io.Writer, cancel <-chan struct{}) in
 			return 2
 		}
 	}
-	var limits sim.Limits
-	if *timeout != "" {
-		d, err := fault.ParseDuration(*timeout)
-		if err != nil || d <= 0 {
-			fmt.Fprintf(stderr, "asmp-trace: bad -timeout %q (want e.g. 30s, 500ms, 2min)\n", *timeout)
-			return 2
-		}
-		limits.MaxVirtualTime = d
+	limits, err := core.ParseTimeout(*timeout, "-")
+	if err != nil {
+		fmt.Fprintln(stderr, "asmp-trace:", err)
+		return 2
 	}
 
 	buf := trace.New(*bufCap)

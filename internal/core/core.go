@@ -60,6 +60,10 @@ type RunSpec struct {
 	// final Stats even through the panic-isolating ExecuteSafe path. It
 	// is not called when the run fails.
 	Observe func(*sched.Scheduler)
+	// faultText is Fault.String(), when the Experiment that built this
+	// spec rendered it once for all its cells (cellSpec); "" renders
+	// Fault afresh.
+	faultText string
 }
 
 // Execute performs one run on a fresh platform and returns its result.
@@ -442,6 +446,7 @@ func (e Experiment) run(seeded map[cellKey]workload.Result, writeHeader bool) *O
 		}
 	}
 
+	spec := e.cellSpec(configs, base)
 	workers := e.Workers
 	if workers <= 0 {
 		workers = DefaultWorkers()
@@ -481,7 +486,7 @@ func (e Experiment) run(seeded map[cellKey]workload.Result, writeHeader bool) *O
 				// recorded error is the last attempt's.
 				attempt := 0
 				for ; ; attempt++ {
-					results[i], errs[i] = ExecuteSafe(e.runSpec(configs, base, cl, attempt))
+					results[i], errs[i] = ExecuteSafe(spec(cl, attempt))
 					if errs[i] == nil || attempt >= e.Retries ||
 						errors.Is(errs[i], ErrCancelled) {
 						break
@@ -513,17 +518,24 @@ func (e Experiment) run(seeded map[cellKey]workload.Result, writeHeader bool) *O
 	return assemble(e.Name, configs, runs, results, errs, journalErr)
 }
 
-// runSpec returns the RunSpec of one attempt at cell cl of the grid
-// (configs, base) that normalized returned.
-func (e Experiment) runSpec(configs []cpu.Config, base uint64, cl cellKey, attempt int) RunSpec {
-	return RunSpec{
-		Workload: e.Workload,
-		Config:   configs[cl.cfg],
-		Sched:    e.Sched,
-		Seed:     RetrySeed(base, cl.cfg, cl.run, attempt),
-		Fault:    e.Fault,
-		Limits:   e.Limits,
-		Cancel:   e.Cancel,
+// cellSpec returns the function that builds the RunSpec of one attempt
+// at a cell of the grid (configs, base) that normalized returned. The
+// fault plan's rendering, which every cell's key holds, is made here
+// once for the whole grid: a generated plan can run to thousands of
+// events.
+func (e Experiment) cellSpec(configs []cpu.Config, base uint64) func(cl cellKey, attempt int) RunSpec {
+	faultText := e.Fault.String()
+	return func(cl cellKey, attempt int) RunSpec {
+		return RunSpec{
+			Workload:  e.Workload,
+			Config:    configs[cl.cfg],
+			Sched:     e.Sched,
+			Seed:      RetrySeed(base, cl.cfg, cl.run, attempt),
+			Fault:     e.Fault,
+			faultText: faultText,
+			Limits:    e.Limits,
+			Cancel:    e.Cancel,
+		}
 	}
 }
 

@@ -96,8 +96,8 @@ func memoKeyFor(spec RunSpec) (memoKey, bool) {
 	if !ok {
 		return memoKey{}, false
 	}
-	fp := ""
-	if !spec.Fault.Empty() {
+	fp := spec.faultText
+	if fp == "" {
 		fp = spec.Fault.String()
 	}
 	return memoKey{

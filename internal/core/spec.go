@@ -75,13 +75,9 @@ func (s *SweepSpec) Experiment(flag string) (Experiment, error) {
 			}
 		}
 	}
-	var limits sim.Limits
-	if s.Timeout != "" {
-		d, err := fault.ParseDuration(s.Timeout)
-		if err != nil || !(d > 0) {
-			return Experiment{}, fmt.Errorf("bad %stimeout %q (want e.g. 30s, 500ms, 2min)", flag, s.Timeout)
-		}
-		limits.MaxVirtualTime = d
+	limits, err := ParseTimeout(s.Timeout, flag)
+	if err != nil {
+		return Experiment{}, err
 	}
 	e := Experiment{
 		Name:     fmt.Sprintf("%s (%s scheduler, %d runs)", w.Name(), pol, s.Runs),
@@ -121,6 +117,21 @@ func (s SweepSpec) Args() []string {
 		"-timeout", s.Timeout,
 		"-retries", strconv.Itoa(s.Retries),
 	}
+}
+
+// ParseTimeout is the watchdog decoder of every text front end: "" is
+// no limit, and anything else must be a positive fault-plan duration
+// ("30s", "2min") of virtual time. flag prefixes the field name in the
+// error, as in SweepSpec.Experiment.
+func ParseTimeout(text, flag string) (sim.Limits, error) {
+	if text == "" {
+		return sim.Limits{}, nil
+	}
+	d, err := fault.ParseDuration(text)
+	if err != nil || !(d > 0) {
+		return sim.Limits{}, fmt.Errorf("bad %stimeout %q (want e.g. 30s, 500ms, 2min)", flag, text)
+	}
+	return sim.Limits{MaxVirtualTime: d}, nil
 }
 
 // ParsePolicy is the policy decoder of every text front end: "" is the

@@ -196,10 +196,10 @@ func FuzzSweepSpec(f *testing.F) {
 		configs, runs, base := ea.normalized()
 		configsB, _, baseB := eb.normalized()
 		// Every cell of a small grid; the corners of one whose keys
-		// would take long to render (many cells, or a long fault plan
-		// rendered into every key).
+		// would take long to build (many cells, or a long fault plan
+		// copied into every key).
 		cells := []cellKey{{0, 0}, {len(configs) - 1, runs - 1}}
-		if runs <= 256/len(configs) && len(ea.JournalHeader().Fault) <= 1<<12 {
+		if runs <= 256/len(configs) && len(ea.JournalHeader().Fault) <= 1<<16 {
 			cells = cells[:0]
 			for c := range configs {
 				for r := 0; r < runs; r++ {
@@ -207,10 +207,11 @@ func FuzzSweepSpec(f *testing.F) {
 				}
 			}
 		}
+		specA, specB := ea.cellSpec(configs, base), eb.cellSpec(configsB, baseB)
 		for _, cl := range cells {
 			for attempt := 0; attempt <= min(ea.Retries, 2); attempt++ {
-				ka := CellKey(ea.runSpec(configs, base, cl, attempt))
-				kb := CellKey(eb.runSpec(configsB, baseB, cl, attempt))
+				ka := CellKey(specA(cl, attempt))
+				kb := CellKey(specB(cl, attempt))
 				if ka != kb {
 					t.Fatalf("identity %s: cell %v attempt %d keys differ:\n%s\n%s", ea.Identity(), cl, attempt, ka, kb)
 				}

@@ -21,8 +21,6 @@ package faultio
 import (
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 
 	"asmp/internal/journal"
 	"asmp/internal/xrand"
@@ -203,36 +201,4 @@ func (s *Sink) Close() error {
 		return s.err
 	}
 	return cerr
-}
-
-// ExtractCrashAt strips the hidden -crashat flag from a CLI argument
-// list before normal flag parsing, returning the remaining arguments
-// and the tear offset. The flag is deliberately invisible to -h: it
-// exists only for crash-matrix exercising of the journal (DESIGN.md
-// §9), accepted as "-crashat N", "-crashat=N" or the double-dash
-// forms.
-func ExtractCrashAt(args []string) (rest []string, at int64, ok bool, err error) {
-	rest = make([]string, 0, len(args))
-	for i := 0; i < len(args); i++ {
-		arg := args[i]
-		name := strings.TrimPrefix(strings.TrimPrefix(arg, "-"), "-")
-		switch {
-		case name == "crashat":
-			i++
-			if i >= len(args) {
-				return nil, 0, false, fmt.Errorf("faultio: %s needs a byte offset", arg)
-			}
-			at, err = strconv.ParseInt(args[i], 10, 64)
-		case strings.HasPrefix(name, "crashat="):
-			at, err = strconv.ParseInt(strings.TrimPrefix(name, "crashat="), 10, 64)
-		default:
-			rest = append(rest, arg)
-			continue
-		}
-		if err != nil || at < 0 {
-			return nil, 0, false, fmt.Errorf("faultio: -crashat wants a non-negative byte offset, got %q", arg)
-		}
-		ok = true
-	}
-	return rest, at, ok, nil
 }

@@ -221,40 +221,3 @@ func TestWrapThroughJournal(t *testing.T) {
 		t.Errorf("Close = %v, want the sticky injected error", cerr)
 	}
 }
-
-func TestExtractCrashAt(t *testing.T) {
-	cases := []struct {
-		in   []string
-		rest []string
-		at   int64
-		ok   bool
-		err  bool
-	}{
-		{in: nil, rest: []string{}, ok: false},
-		{in: []string{"-w", "specjbb"}, rest: []string{"-w", "specjbb"}, ok: false},
-		{in: []string{"-crashat", "128"}, rest: []string{}, at: 128, ok: true},
-		{in: []string{"-crashat=99", "-quick"}, rest: []string{"-quick"}, at: 99, ok: true},
-		{in: []string{"--crashat", "0"}, rest: []string{}, at: 0, ok: true},
-		{in: []string{"--crashat=7"}, rest: []string{}, at: 7, ok: true},
-		{in: []string{"-crashat"}, err: true},
-		{in: []string{"-crashat", "x"}, err: true},
-		{in: []string{"-crashat=-5"}, err: true},
-	}
-	for _, tc := range cases {
-		rest, at, ok, err := ExtractCrashAt(tc.in)
-		if tc.err {
-			if err == nil {
-				t.Errorf("ExtractCrashAt(%q): no error, want one", tc.in)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("ExtractCrashAt(%q): %v", tc.in, err)
-			continue
-		}
-		if !reflect.DeepEqual(rest, tc.rest) || at != tc.at || ok != tc.ok {
-			t.Errorf("ExtractCrashAt(%q) = (%q, %d, %v), want (%q, %d, %v)",
-				tc.in, rest, at, ok, tc.rest, tc.at, tc.ok)
-		}
-	}
-}

@@ -308,16 +308,18 @@ func TestSweepDeadlineReturnsTypedTimeoutWithPartial(t *testing.T) {
 }
 
 func TestConcurrentIdenticalSweepsCoalesce(t *testing.T) {
+	core.ResetMemo()
 	s, ts := startServer(t, Options{Workers: 1, QueueDepth: 8}, false)
 
 	// Occupy the only worker with a cold full-grid sweep (aware-policy
-	// cells are unique to this test), so the duplicates below all
-	// arrive while their shared flight is still pending.
+	// cells are unique to this test, and the memo is reset so a repeated
+	// run finds them cold too), so the duplicates below all arrive while
+	// their shared flight is still pending.
 	blockerDone := make(chan postResult, 1)
 	go func() {
 		blockerDone <- post(ts.URL+"/v1/sweep", `{"workload":"specjbb","policy":"aware"}`)
 	}()
-	for s.StatsSnapshot().ActiveFlights == 0 {
+	for s.StatsSnapshot().Requests < 1 {
 		time.Sleep(time.Millisecond)
 	}
 

@@ -13,7 +13,6 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"strings"
 	"sync"
 
 	"asmp/internal/core"
@@ -128,39 +127,6 @@ func ExecRunner(bin string, baseArgs []string, stderr io.Writer) Runner {
 		}
 		return err
 	}
-}
-
-// ExtractWorker strips the hidden -shardworker flag from a CLI
-// argument list before normal flag parsing, returning the remaining
-// arguments and the shard range. Like faultio.ExtractCrashAt it is
-// invisible to -h: only the supervisor spawns it, as "-shardworker
-// index/of:lo-hi" (or the = and double-dash forms).
-func ExtractWorker(args []string) (rest []string, r core.ShardRange, ok bool, err error) {
-	rest = make([]string, 0, len(args))
-	for i := 0; i < len(args); i++ {
-		arg := args[i]
-		name := strings.TrimPrefix(strings.TrimPrefix(arg, "-"), "-")
-		var spec string
-		switch {
-		case name == "shardworker":
-			i++
-			if i >= len(args) {
-				return nil, core.ShardRange{}, false, fmt.Errorf("shard: %s needs a range (index/of:lo-hi)", arg)
-			}
-			spec = args[i]
-		case strings.HasPrefix(name, "shardworker="):
-			spec = strings.TrimPrefix(name, "shardworker=")
-		default:
-			rest = append(rest, arg)
-			continue
-		}
-		r, err = core.ParseShardRange(spec)
-		if err != nil {
-			return nil, core.ShardRange{}, false, err
-		}
-		ok = true
-	}
-	return rest, r, ok, nil
 }
 
 // cancelled reports whether err marks a cancelled worker (the one

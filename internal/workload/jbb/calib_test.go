@@ -28,18 +28,3 @@ func sample(t *testing.T, cfgName string, policy sched.Policy, kind gc.Kind, war
 	}
 	return s
 }
-
-func TestCalibration(t *testing.T) {
-	if testing.Short() {
-		t.Skip("calibration exploration")
-	}
-	for _, cfg := range []string{"4f-0s", "3f-1s/8", "2f-2s/8", "0f-4s/4", "0f-4s/8"} {
-		for _, kind := range []gc.Kind{gc.ParallelSTW, gc.ConcurrentGenerational} {
-			s := sample(t, cfg, sched.PolicyNaive, kind, 12, 5)
-			t.Logf("%-8s gc=%-10s naive: mean=%8.0f cov=%.4f min=%8.0f max=%8.0f",
-				cfg, kind, s.Mean(), s.CoV(), s.Min(), s.Max())
-		}
-	}
-	s := sample(t, "2f-2s/8", sched.PolicyAsymmetryAware, gc.ConcurrentGenerational, 12, 5)
-	t.Logf("2f-2s/8 concurrent AWARE: mean=%8.0f cov=%.4f", s.Mean(), s.CoV())
-}

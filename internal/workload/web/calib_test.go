@@ -24,28 +24,3 @@ func sample(t *testing.T, b *Benchmark, cfgName string, policy sched.Policy, run
 	}
 	return s
 }
-
-func TestCalib(t *testing.T) {
-	if testing.Short() {
-		t.Skip()
-	}
-	cfgs := []string{"4f-0s", "3f-1s/8", "2f-2s/8", "0f-4s/4", "0f-4s/8"}
-	for _, c := range []struct {
-		name string
-		b    *Benchmark
-		pol  sched.Policy
-	}{
-		{"apache-light naive", New(Options{Server: Apache, Load: LightLoad}), sched.PolicyNaive},
-		{"apache-heavy naive", New(Options{Server: Apache, Load: HeavyLoad}), sched.PolicyNaive},
-		{"apache-light aware", New(Options{Server: Apache, Load: LightLoad}), sched.PolicyAsymmetryAware},
-		{"apache-light fine50", New(Options{Server: Apache, Load: LightLoad, MaxRequestsPerChild: 50}), sched.PolicyNaive},
-		{"zeus-light naive", New(Options{Server: Zeus, Load: LightLoad}), sched.PolicyNaive},
-		{"zeus-heavy naive", New(Options{Server: Zeus, Load: HeavyLoad}), sched.PolicyNaive},
-		{"zeus-light aware", New(Options{Server: Zeus, Load: LightLoad}), sched.PolicyAsymmetryAware},
-	} {
-		for _, cfg := range cfgs {
-			s := sample(t, c.b, cfg, c.pol, 6)
-			t.Logf("%-22s %-8s mean=%8.0f cov=%.4f [%8.0f %8.0f]", c.name, cfg, s.Mean(), s.CoV(), s.Min(), s.Max())
-		}
-	}
-}
